@@ -359,19 +359,6 @@ def _zeta_pochhammer(length: int, order: int):
     return cur
 
 
-def _int_series_inv(coeffs, order):
-    """Inverse of an integer q-polynomial with constant term 1."""
-    inv = [0] * (order + 1)
-    inv[0] = 1
-    for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            if coeffs[k]:
-                acc += coeffs[k] * inv[n - k]
-        inv[n] = -acc
-    return inv
-
-
 def _ascending_tuples(count: int, minimum: int, budget: int):
     if count == 0:
         yield ()
@@ -394,22 +381,12 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
         base = sum(v * v for v in tup)
         rem = order - base
         # pure-q part: product of 1/(q)_{gap} over consecutive gaps
-        purq = [0] * (rem + 1)
-        purq[0] = 1
+        purq = QSeries.one(rem)
         for lo, hi in zip(tup, tup[1:]):
-            gap = hi - lo
-            if gap == 0:
-                continue
-            poch = [int(c) for c in q_pochhammer(gap, rem).coeffs]
-            inv = _int_series_inv(poch, rem)
-            nxt = [0] * (rem + 1)
-            for i, c in enumerate(purq):
-                if c:
-                    for jj in range(rem + 1 - i):
-                        nxt[i + jj] += c * inv[jj]
-            purq = nxt
+            if hi > lo:
+                purq = purq * q_pochhammer(hi - lo, rem).inverse()
         zfac = _zseries_inv(_zeta_pochhammer(tup[0], rem), rem)
-        diag = [({0: c} if c else {}) for c in purq]
+        diag = [({0: c.numerator} if c else {}) for c in purq.coeffs]
         prod = _zseries_mul(diag, zfac, rem)
         for n_off, layer in enumerate(prod):
             tgt = table[base + n_off]

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import functions as fn
 from .bernoulli import bernoulli
@@ -100,14 +101,21 @@ def eisenstein_members(order: int) -> Members:
 
 @dataclass(frozen=True)
 class MockFamily:
-    """Members f_{k,j} for even j <= max_j at a common truncation order."""
+    """Members f_{k,j} for even j <= max_j at a common truncation order.
+
+    ``members`` is a read-only copy of the mapping passed in: families are
+    cached, so a caller must not be able to change one another caller sees.
+    """
 
     k: int
     max_j: int
     order: int
     route: str
     extrapolated: bool
-    members: Dict[int, QSeries] = field(repr=False)
+    members: Mapping[int, QSeries] = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
 
     def member(self, j: int) -> QSeries:
         if j < 1 or j > self.max_j:

@@ -25,7 +25,8 @@ from .errors import ConventionCaseError, WindowTooLargeError
 
 Partition = Tuple[int, ...]
 
-#: Brute-force enumeration ceiling: p(40) = 37338 keeps every oracle sub-second.
+#: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk``
+#: at the ceiling takes about 4 s (Python 3.11, 2-vCPU Intel Xeon).
 PARTITION_CEILING = 40
 
 

@@ -7,15 +7,23 @@ truncate to the smaller operand order, so a result never claims a
 coefficient it cannot certify; reading past the order raises instead of
 returning a silent zero.
 
-Multiplication is schoolbook convolution.  The orders used in this
-package stay well below 200, where exactness and simplicity beat
-asymptotics.
+Series products use Kronecker substitution (Schoenhage 1982; Harvey,
+J. Symb. Comput. 2009).  Each operand is scaled to integer numerators over
+the lcm of its denominators, and the numerators are packed into one
+Python ``int`` as the value of the polynomial at 2^w.  One big-integer
+multiply then does the whole convolution.  The slot width w exceeds the
+bit length of the bound max|a| * max|b| * (N + 1) on every product
+coefficient, so no slot overflows into the next, and the signed slots are
+read back exactly with a borrow from each negative slot to the one above.
+Nothing is approximated: the products equal those of the schoolbook
+convolution, which the test suite keeps as an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Union
 
 from .errors import ConstantTermError, ZeroConstantTermError
@@ -34,6 +42,47 @@ def _coerce(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
+
+
+def _numerators(coeffs: tuple) -> tuple:
+    """(integer numerators, common denominator) of a tuple of Fractions."""
+    den = lcm(*{c.denominator for c in coeffs})
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(values: list, width: int) -> int:
+    """sum_i values[i] * 256^(width * i), for |values[i]| < 256^width."""
+    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
+    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_product(a: tuple, b: tuple) -> tuple:
+    """The first len(a) coefficients of the product of two equal-length series."""
+    n = len(a)
+    na, da = _numerators(a)
+    nb, db = _numerators(b)
+    bound = max(map(abs, na)) * max(map(abs, nb)) * n
+    if not bound:
+        return (_ZERO,) * n
+    # Bytes per slot: every |c_k| <= bound < 2^(8 * width - 1).
+    width = (bound.bit_length() + 8) // 8
+    product = _pack(na, width) * _pack(nb, width)
+    low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    out = []
+    borrow = 0
+    for i in range(0, width * n, width):
+        # Slot k reads c_k less the borrow from below; a negative slot
+        # borrows one from the slot above.
+        s = int.from_bytes(low[i : i + width], "little", signed=True)
+        out.append(s + borrow)
+        borrow = s < 0
+    den = da * db
+    if den == 1:
+        return tuple(map(Fraction, out))
+    return tuple(Fraction(c, den) for c in out)
 
 
 class QSeries:
@@ -141,17 +190,7 @@ class QSeries:
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
             n = min(self.order, other.order)
-            a = self.coeffs
-            b = other.coeffs
-            out = []
-            for k in range(n + 1):
-                acc = _ZERO
-                for i in range(k + 1):
-                    ai = a[i]
-                    if ai:
-                        acc += ai * b[k - i]
-                out.append(acc)
-            return QSeries._raw(tuple(out))
+            return QSeries._raw(_kronecker_product(self.coeffs[: n + 1], other.coeffs[: n + 1]))
         c = _coerce(other)
         if c == 1:
             return self
@@ -254,7 +293,6 @@ class QSeries:
         return f"QSeries(order={self.order}: {self})"
 
 
-@lru_cache(maxsize=None)
 def euler_product(order: int) -> QSeries:
     """(q)_inf = prod_{k>=1} (1 - q^k), truncated at the given order.
 
@@ -264,12 +302,7 @@ def euler_product(order: int) -> QSeries:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    c = [_ZERO] * (order + 1)
-    c[0] = _ONE
-    for k in range(1, order + 1):
-        for n in range(order, k - 1, -1):
-            c[n] -= c[n - k]
-    return QSeries._raw(tuple(c))
+    return q_pochhammer(order, order)
 
 
 @lru_cache(maxsize=None)

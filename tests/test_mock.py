@@ -229,6 +229,21 @@ class TestIntegrality:
         assert (report.j, report.n) == (4, 3)
         assert report.value == F(3, 2)
 
+    def test_cached_family_is_read_only(self):
+        fam = mock_eisenstein_family(3, 4, 10)
+        with pytest.raises(TypeError):
+            fam.members[2] = QSeries.monomial(F(1, 2), 3, 10)
+        assert integrality_check(mock_eisenstein_family(3, 4, 10)).ok
+
+    def test_family_does_not_alias_the_callers_dict(self):
+        members = {2: QSeries.constant(-bernoulli(2) / 4, 6)}
+        fam = MockFamily(
+            k=3, max_j=2, order=6, route="recursionA", extrapolated=False,
+            members=members,
+        )
+        members[2] = QSeries.monomial(F(1, 2), 3, 6)
+        assert integrality_check(fam).ok
+
 
 class TestLeadingPattern:
     def test_k3_j4(self):

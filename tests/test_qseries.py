@@ -1,6 +1,7 @@
 """Series-core tests: exact arithmetic, truncation semantics, ring laws."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,90 @@ class TestEulerProduct:
     def test_q_pochhammer(self):
         assert q_pochhammer(0, 5) == QSeries.one(5)
         assert q_pochhammer(2, 5) == QSeries([1, -1, -1, 1, 0, 0])
+
+
+def schoolbook_product(a, b):
+    """Independent oracle: the truncated Cauchy product, term by term over Fraction."""
+    n = min(len(a), len(b))
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n))
+
+
+def assert_matches_oracle(a, b):
+    expected = schoolbook_product(a.coeffs, b.coeffs)
+    for product in (a * b, b * a):
+        assert product.coeffs == expected
+        for c in product.coeffs:
+            assert type(c) is F
+            assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+def near_power_of_two(max_exp):
+    """+-(2^e - 1), +-2^e and +-(2^e + 1): magnitudes at a byte's edge."""
+    return st.builds(
+        lambda e, d, sign: sign * (2**e + d),
+        st.integers(0, max_exp),
+        st.sampled_from((-1, 0, 1)),
+        st.sampled_from((1, -1)),
+    )
+
+
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(F, st.integers(-(2**200), 2**200), st.integers(1, 10**6)),
+    near_power_of_two(200).map(F),
+)
+
+
+def sparse_series_st(max_order=40):
+    """Mostly zero coefficients, so negative slots borrow across runs of zeros."""
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.dictionaries(st.integers(0, n), wide_rationals, max_size=4).map(
+            lambda terms: QSeries.from_terms(terms, n)
+        )
+    )
+
+
+class TestProductAgainstOracle:
+    @given(
+        series_st(max_order=40, coeffs=wide_rationals),
+        series_st(max_order=40, coeffs=wide_rationals),
+    )
+    @settings(deadline=None)
+    def test_dense(self, a, b):
+        assert_matches_oracle(a, b)
+
+    @given(st.one_of(sparse_series_st(), series_st(max_order=40, coeffs=wide_rationals)),
+           sparse_series_st())
+    @settings(deadline=None)
+    def test_sparse_and_zero(self, a, b):
+        assert_matches_oracle(a, b)
+
+    @given(
+        series_st(max_order=40, coeffs=near_power_of_two(64).map(F)),
+        series_st(max_order=40, coeffs=near_power_of_two(64).map(F)),
+    )
+    @settings(deadline=None)
+    def test_near_slot_boundaries(self, a, b):
+        assert_matches_oracle(a, b)
+
+    def test_full_slots_of_either_sign(self):
+        # Equal magnitudes make the top coefficient reach the bound the slot
+        # width is chosen from; negated and alternating operands give
+        # negative slots, each of which borrows from the slot above.
+        for e in range(0, 33):
+            for x in (2**e - 1, 2**e, 2**e + 1):
+                for n in (1, 2, 3, 4, 8):
+                    same = QSeries([x] * n)
+                    assert_matches_oracle(same, same)
+                    assert_matches_oracle(same, -same)
+                    alternating = QSeries([(-1) ** i * x for i in range(n)])
+                    assert_matches_oracle(alternating, same)
+                    assert_matches_oracle(alternating, alternating)
+
+    def test_all_zero(self):
+        for n in (0, 1, 7):
+            assert_matches_oracle(QSeries.zero(n), QSeries([F(2**100, 3)] * (n + 2)))
+            assert_matches_oracle(QSeries.zero(n), QSeries.zero(n))
 
 
 class TestRingProperties:
