@@ -210,17 +210,15 @@ def cmd_table(config: JobConfig) -> int:
 
 
 def cmd_verify(config: JobConfig) -> int:
-    overrides = {
-        "ks": (config.k,) if config.k is not None else None,
-        "max_j": config.max_j,
-        "max_n": config.max_n,
-        "max_m": config.max_m,
-        "order": config.order,
-        "q_order": config.order,
-        "max_deg": None,
+    flags = {
+        "--k": (config.k,) if config.k is not None else None,
+        "--maxj": config.max_j,
+        "--maxn": config.max_n,
+        "--maxm": config.max_m,
+        "--order": config.order,
     }
     try:
-        results = verify.run_suite(config.suite, **overrides)
+        results = verify.run_suite(config.suite, flags)
     except KeyError:
         raise ConfigError(f"unknown suite {config.suite!r}") from None
     failed = 0

@@ -159,14 +159,6 @@ class MomentSeries:
     method: str
 
 
-def _require_ceiling(order: int, what: str) -> None:
-    if order > pt.PARTITION_CEILING:
-        raise WindowTooLargeError(
-            f"{what} enumeration to order {order} exceeds the ceiling "
-            f"{pt.PARTITION_CEILING}"
-        )
-
-
 def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:
     d = 2 * k - 1
     if j == 0:
@@ -205,17 +197,20 @@ def _rank_moment_divisor_sum(k: int, j: int, order: int) -> QSeries:
     return acc * Fraction(4, 2**j) * partition_series(order)
 
 
-def _rank_moment_combinatorial(k: int, j: int, order: int) -> QSeries:
-    _require_ceiling(order, "k-rank moment")
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        total = 0
-        for lam in pt.partitions_of(n):
-            dsizes = pt.durfee_sizes(lam)
-            if len(dsizes) >= k - 1:
-                total += pt._k_rank_with_durfee(lam, k, dsizes) ** j
-        coeffs[n] = Fraction(total)
-    return QSeries(coeffs)
+def _combinatorial_moment(k: int, j: int, order: int) -> QSeries:
+    """sum_m m^j N_k(m, n) at each q^n, from the cached statistic histograms."""
+    if order > pt.PARTITION_CEILING:
+        what = "crank moment" if k == 1 else "k-rank moment"
+        raise WindowTooLargeError(
+            f"{what} enumeration to order {order} exceeds the ceiling "
+            f"{pt.PARTITION_CEILING}"
+        )
+    return QSeries(
+        [
+            Fraction(sum(count * m**j for m, count in pt.statistic_histogram(k, n)))
+            for n in range(order + 1)
+        ]
+    )
 
 
 def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSeries:
@@ -234,28 +229,10 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSer
     elif method == "divisor-sum":
         series = _rank_moment_divisor_sum(k, j, order)
     elif method == "combinatorial":
-        series = _rank_moment_combinatorial(k, j, order)
+        series = _combinatorial_moment(k, j, order)
     else:
         raise ValueError(f"unknown rank moment method {method!r}")
     return MomentSeries(k=k, j=j, series=series, method=method)
-
-
-def _crank_moment_combinatorial(j: int, order: int) -> QSeries:
-    _require_ceiling(order, "crank moment")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1) if j == 0 else Fraction(0)
-    if order >= 1:
-        # n = 1 convention: counts 1, -1, 1 at m = -1, 0, 1.
-        if j == 0:
-            coeffs[1] = Fraction(1)
-        elif j % 2 == 0:
-            coeffs[1] = Fraction(2)
-    for n in range(2, order + 1):
-        total = 0
-        for lam in pt.partitions_of(n):
-            total += pt.crank(lam) ** j
-        coeffs[n] = Fraction(total)
-    return QSeries(coeffs)
 
 
 def _crank_moment_eisenstein(j: int, order: int) -> QSeries:
@@ -282,7 +259,7 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSer
     if j < 0:
         raise ValueError("moment order must be non-negative")
     if method == "combinatorial":
-        series = _crank_moment_combinatorial(j, order)
+        series = _combinatorial_moment(1, j, order)
     elif method == "eisenstein":
         series = _crank_moment_eisenstein(j, order)
     else:

@@ -13,30 +13,62 @@ Counting conventions:
     k-1 successive Durfee squares are counted.
 The n = 1 crank convention lives here in the counting code; the crank
 statistic itself refuses the partition (1).
+
+Every count is read from :func:`statistic_histogram`, which walks the
+cached ``partitions_of(n)`` once per statistic, with a single-pass k-rank,
+and caches N_k(., n).  :func:`count_table` and the combinatorial moments
+in :mod:`mockeis.functions` only read those histograms.  ``crank``,
+``rank``, ``k_rank``, ``durfee_sizes`` and ``conjugate`` are the
+definitional statistics the histograms are tested against.  ``table Nk``
+at the ceiling takes about 0.4 s cold (see ``PARTITION_CEILING``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
 
 Partition = Tuple[int, ...]
 
-#: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk``
-#: at the ceiling takes about 4 s (Python 3.11, 2-vCPU Intel Xeon).
+#: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
+#: --maxm 6 --maxn 40`` takes about 0.4 s as a cold CLI process (median
+#: 0.41 s for k = 3 and 0.44 s for k = 5 over 65 runs each in BENCH_3.json,
+#: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host speed).
 PARTITION_CEILING = 40
 
 
-def _descending_partitions(n: int, max_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending_partitions(n - first, first):
-            yield (first,) + rest
+def _reverse_lex_partitions(n: int) -> Iterator[Partition]:
+    # Algorithm ZS1 (Zoghbi and Stojmenovic, 1998): x[:m] is the current
+    # partition and x[h] its last part above 1.  The next partition lowers
+    # x[h] by one and refills the tail greedily with parts of that size,
+    # then the remainder.  A generator, so that tuple() builds the result
+    # without an intermediate list of all p(n) partitions.
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            t = m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 1 if t == 0 else h + 2
+            if t > 1:
+                h += 1
+                x[h] = t
+        yield tuple(x[:m])
 
 
 @lru_cache(maxsize=None)
@@ -44,7 +76,7 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographically, each exactly once."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    return tuple(_descending_partitions(n, n))
+    return tuple(_reverse_lex_partitions(n)) if n else ((),)
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -102,7 +134,19 @@ def rank(parts: Partition) -> int:
     return (parts[0] - len(parts)) if parts else 0
 
 
-def _k_rank_with_durfee(parts: Partition, k: int, dsizes: Tuple[int, ...]) -> int:
+def k_rank(parts: Partition, k: int) -> int:
+    """Garvan's k-rank; k = 2 is the ordinary rank.
+
+    For k >= 3: the number of columns right of the first Durfee square
+    of length <= d_{k-1}, minus the number of parts below the (k-1)-th
+    Durfee square.  Partitions with fewer than k-1 successive Durfee
+    squares get 0.
+    """
+    if k < 2:
+        raise ValueError("k-rank requires k >= 2")
+    if k == 2:
+        return rank(parts)
+    dsizes = durfee_sizes(parts)
     if len(dsizes) < k - 1:
         return 0
     d1 = dsizes[0]
@@ -116,19 +160,62 @@ def _k_rank_with_durfee(parts: Partition, k: int, dsizes: Tuple[int, ...]) -> in
     return right - below
 
 
-def k_rank(parts: Partition, k: int) -> int:
-    """Garvan's k-rank; k = 2 is the ordinary rank.
+def _k_rank_counts(parts: Iterable[Partition], k: int) -> Dict[int, int]:
+    """k-rank counts (k >= 3) over ``parts``, one pass per partition.
 
-    For k >= 3: the number of columns right of the first Durfee square
-    of length <= d_{k-1}, minus the number of parts below the (k-1)-th
-    Durfee square.  Partitions with fewer than k-1 successive Durfee
-    squares get 0.
+    Partitions with fewer than k-1 successive Durfee squares are skipped.
     """
-    if k < 2:
-        raise ValueError("k-rank requires k >= 2")
-    if k == 2:
-        return rank(parts)
-    return _k_rank_with_durfee(parts, k, durfee_sizes(parts))
+    counts: Dict[int, int] = {}
+    for lam in parts:
+        size = len(lam)
+        d1 = 0
+        while d1 < size and lam[d1] > d1:
+            d1 += 1
+        pos = d = d1
+        for _ in range(k - 2):
+            if pos == size:
+                break
+            d = 0
+            while pos + d < size and lam[pos + d] > d:
+                d += 1
+            pos += d
+        else:
+            # d = d_{k-1}, and the k-1 squares cover rows 0..pos-1.  Column c
+            # has length #{i : lam[i] > c}, which is <= d exactly when
+            # lam[d] <= c; lam[d] exists, as pos >= d1 + d > d.  The columns
+            # right of the first square with length <= d are therefore
+            # c = max(d1, lam[d]) .. lam[0]-1, and lam[d] >= d1 always: if
+            # d < d1, lam[d] >= lam[d1-1] >= d1; if d = d1, row d1 starts the
+            # second square, of size d1.  No conjugate is needed.
+            m = lam[0] - lam[d] - (size - pos)
+            counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+@lru_cache(maxsize=None)
+def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
+    """The nonzero N_k(m, n) as sorted (m, count) pairs, conventions applied.
+
+    k = 1 is the crank, k = 2 the rank and k >= 3 the k-rank.  The cache
+    holds at most PARTITION_CEILING + 1 entries per k.
+    """
+    if k < 1:
+        raise ValueError("statistic index k must be >= 1")
+    if n < 0:
+        raise ValueError("cannot partition a negative integer")
+    if n > PARTITION_CEILING:
+        raise WindowTooLargeError(
+            f"n = {n} exceeds the enumeration ceiling {PARTITION_CEILING}"
+        )
+    if k == 1 and n <= 1:
+        counts = {0: 1} if n == 0 else {-1: 1, 0: -1, 1: 1}
+    elif n == 0:
+        counts = {}  # N_2(0,0) = 0 and N_k(m,0) = 0 for k >= 3
+    elif k >= 3:
+        counts = _k_rank_counts(partitions_of(n), k)
+    else:
+        counts = Counter(map(crank if k == 1 else rank, partitions_of(n)))
+    return tuple(sorted(counts.items()))
 
 
 @dataclass(frozen=True)
@@ -152,9 +239,7 @@ class CountTable:
 
 
 def count_table(k: int, max_abs_m: int, max_n: int) -> CountTable:
-    """Brute-force table of N_k(m, n) with all counting conventions applied."""
-    if k < 1:
-        raise ValueError("statistic index k must be >= 1")
+    """Brute-force table of N_k(m, n): a window on :func:`statistic_histogram`."""
     if max_abs_m < 0 or max_n < 0:
         raise ValueError("window bounds must be non-negative")
     if max_n > PARTITION_CEILING:
@@ -164,32 +249,8 @@ def count_table(k: int, max_abs_m: int, max_n: int) -> CountTable:
     entries = {
         (m, n): 0 for m in range(-max_abs_m, max_abs_m + 1) for n in range(max_n + 1)
     }
-
-    def bump(m: int, n: int, delta: int = 1) -> None:
-        if abs(m) <= max_abs_m:
-            entries[(m, n)] += delta
-
     for n in range(max_n + 1):
-        if k == 1:
-            if n == 0:
-                bump(0, 0)
-            elif n == 1:
-                bump(1, 1)
-                bump(-1, 1)
-                bump(0, 1, -1)
-            else:
-                for lam in partitions_of(n):
-                    bump(crank(lam), n)
-        elif k == 2:
-            if n >= 1:
-                for lam in partitions_of(n):
-                    bump(rank(lam), n)
-            # N_2(0,0) = 0: the empty partition is not counted.
-        else:
-            if n >= 1:
-                for lam in partitions_of(n):
-                    dsizes = durfee_sizes(lam)
-                    if len(dsizes) >= k - 1:
-                        bump(_k_rank_with_durfee(lam, k, dsizes), n)
-            # N_k(m,0) = 0 for k >= 3.
+        for m, count in statistic_histogram(k, n):
+            if abs(m) <= max_abs_m:
+                entries[(m, n)] = count
     return CountTable(k=k, max_abs_m=max_abs_m, max_n=max_n, entries=entries)

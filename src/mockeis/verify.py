@@ -15,6 +15,7 @@ from . import functions as fn
 from . import mock
 from . import partitions as pt
 from . import pde
+from .errors import ConfigError
 
 DEFAULT_KS = (3, 4, 5)
 
@@ -299,16 +300,38 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-def run_suite(name: str, **overrides) -> List[CheckResult]:
-    """Run one named suite (or 'all'), applying any size overrides."""
+# CLI flag -> suite parameter, per suite.  A suite named on its own
+# rejects a flag it does not list; under "all" each suite takes only the
+# flags it lists.
+SUITE_FLAGS: Dict[str, Dict[str, str]] = {
+    "counts": {"--k": "ks", "--maxn": "max_n", "--maxm": "max_m"},
+    "moments": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
+    "traces": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
+    "crank": {"--maxj": "max_j", "--order": "order"},
+    "integrality": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
+    "pattern": {"--k": "ks", "--maxj": "max_j"},
+    "pde": {"--order": "q_order"},
+    "theta-ode": {"--order": "q_order"},
+}
+
+
+def run_suite(name: str, flags: Optional[Dict[str, object]] = None) -> List[CheckResult]:
+    """Run one named suite (or 'all') with size overrides keyed by CLI flag.
+
+    Flags whose value is None are not given.  A value is passed as the
+    suite parameter that :data:`SUITE_FLAGS` maps the flag to.
+    """
+    given = {flag: v for flag, v in (flags or {}).items() if v is not None}
     if name == "all":
         results = []
         for key in SUITES:
-            results.extend(run_suite(key, **overrides))
+            taken = {f: v for f, v in given.items() if f in SUITE_FLAGS[key]}
+            results.extend(run_suite(key, taken))
         return results
     if name not in SUITES:
         raise KeyError(name)
-    func = SUITES[name]
-    allowed = func.__code__.co_varnames[: func.__code__.co_argcount]
-    kwargs = {k: v for k, v in overrides.items() if k in allowed and v is not None}
-    return func(**kwargs)
+    params = SUITE_FLAGS[name]
+    unknown = [flag for flag in given if flag not in params]
+    if unknown:
+        raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
+    return SUITES[name](**{params[flag]: v for flag, v in given.items()})

@@ -1,11 +1,13 @@
 """Command-line harness: formats, exit codes, determinism, round-trips."""
 
+import inspect
 import json
 from fractions import Fraction as F
 
 import pytest
 
 import mockeis.functions
+from mockeis import verify
 from mockeis.cli import main
 from mockeis.qseries import QSeries
 
@@ -190,3 +192,47 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "everything"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("--suite", "theta-ode", "--k", "9"), ("--k",)),
+            (("--suite", "pattern", "--order", "3", "--maxn", "5"), ("--maxn", "--order")),
+        ],
+    )
+    def test_flag_the_suite_does_not_take_is_usage_error(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert all(flag in err for flag in named)
+
+    def test_all_gives_each_suite_only_its_flags(self, monkeypatch):
+        seen = {}
+
+        def recorder(name):
+            def suite(**kwargs):
+                seen[name] = kwargs
+                return []
+
+            return suite
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, recorder(name))
+        verify.run_suite("all", {"--k": (4,), "--maxj": None, "--order": 10})
+        k, order, q_order = {"ks": (4,)}, {"order": 10}, {"q_order": 10}
+        assert seen == {
+            "counts": k,
+            "moments": {**k, **order},
+            "traces": {**k, **order},
+            "crank": order,
+            "integrality": {**k, **order},
+            "pattern": k,
+            "pde": q_order,
+            "theta-ode": q_order,
+        }
+
+    def test_flag_table_names_real_suite_parameters(self):
+        assert set(verify.SUITE_FLAGS) == set(verify.SUITES)
+        for name, table in verify.SUITE_FLAGS.items():
+            params = inspect.signature(verify.SUITES[name]).parameters
+            assert set(table.values()) <= set(params)

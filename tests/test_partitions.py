@@ -1,6 +1,8 @@
 """Partition statistics: enumeration, Durfee squares, crank, k-ranks,
 and the brute-force count tables with their conventions."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 from mockeis.errors import ConventionCaseError, WindowTooLargeError
 from mockeis.functions import rank_moment
 from mockeis.partitions import (
+    _k_rank_counts,
     count_table,
     crank,
     durfee_sizes,
     k_rank,
     partitions_of,
     rank,
+    statistic_histogram,
 )
 from tests.test_qseries import pentagonal_partition_counts
 
@@ -37,6 +41,18 @@ class TestEnumeration:
             assert len(parts) == counts[n]
             assert len(set(parts)) == counts[n]
         assert len(partitions_of(30)) == 5604
+
+    def test_matches_a_recursive_generator(self):
+        def descending(n, largest):
+            if n == 0:
+                yield ()
+                return
+            for first in range(min(n, largest), 0, -1):
+                for rest in descending(n - first, first):
+                    yield (first,) + rest
+
+        for n in range(21):
+            assert partitions_of(n) == tuple(descending(n, n))
 
     @given(partition_st)
     def test_partitions_are_non_increasing(self, lam):
@@ -143,3 +159,54 @@ class TestCountTable:
             for n in range(15):
                 total = sum(table.count(m, n) for m in range(-14, 15))
                 assert total == zeroth.coeff(n)
+
+
+def reference_histogram(k, n):
+    """N_k(., n) from the definitional statistics, conventions written out."""
+    if k == 1 and n == 0:
+        return Counter({0: 1})  # N_1(0,0) = 1: the empty partition has crank 0
+    if k == 1 and n == 1:
+        return Counter({-1: 1, 0: -1, 1: 1})  # the n = 1 crank convention
+    if n == 0:
+        return Counter()  # N_2(0,0) = 0 and N_k(m,0) = 0 for k >= 3
+    if k == 1:
+        return Counter(crank(lam) for lam in partitions_of(n))
+    if k == 2:
+        return Counter(rank(lam) for lam in partitions_of(n))
+    # k >= 3: only partitions with at least k-1 successive Durfee squares.
+    return Counter(
+        k_rank(lam, k) for lam in partitions_of(n) if len(durfee_sizes(lam)) >= k - 1
+    )
+
+
+class TestStatisticHistogram:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_the_definitional_statistics(self, k):
+        for n in range(23):
+            assert dict(statistic_histogram(k, n)) == reference_histogram(k, n)
+
+    @given(partition_st, st.integers(3, 6))
+    def test_single_pass_k_rank_matches_conjugate_route(self, lam, k):
+        expected = {k_rank(lam, k): 1} if len(durfee_sizes(lam)) >= k - 1 else {}
+        assert _k_rank_counts([lam], k) == expected
+
+    def test_sorted_without_zero_counts(self):
+        for k in (1, 2, 3, 5):
+            for n in (0, 1, 9, 16):
+                hist = statistic_histogram(k, n)
+                assert [m for m, _ in hist] == sorted({m for m, _ in hist})
+                assert all(count != 0 for _, count in hist)
+
+    def test_cached_result_is_immutable(self):
+        hist = statistic_histogram(3, 12)
+        assert type(hist) is tuple
+        assert all(type(pair) is tuple for pair in hist)
+        assert statistic_histogram(3, 12) is hist
+
+    def test_bounds(self):
+        with pytest.raises(WindowTooLargeError):
+            statistic_histogram(3, 41)
+        with pytest.raises(ValueError):
+            statistic_histogram(3, -1)
+        with pytest.raises(ValueError):
+            statistic_histogram(0, 5)
