@@ -370,8 +370,9 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
             for m, c in layer.items():
                 tgt[m] = tgt.get(m, 0) + c
     entries = {
-        (m, n): table[n].get(m, 0)
-        for m in range(-max_abs_m, max_abs_m + 1)
-        for n in range(order + 1)
+        (m, n): c
+        for n, layer in enumerate(table)
+        for m, c in layer.items()
+        if c and abs(m) <= max_abs_m
     }
     return pt.CountTable(k=k, max_abs_m=max_abs_m, max_n=order, entries=entries)

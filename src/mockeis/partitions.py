@@ -14,20 +14,22 @@ Counting conventions:
 The n = 1 crank convention lives here in the counting code; the crank
 statistic itself refuses the partition (1).
 
-Every count is read from :func:`statistic_histogram`, which walks the
-cached ``partitions_of(n)`` once per statistic, with a single-pass k-rank,
-and caches N_k(., n).  :func:`count_table` and the combinatorial moments
-in :mod:`mockeis.functions` only read those histograms.  ``crank``,
-``rank``, ``k_rank``, ``durfee_sizes`` and ``conjugate`` are the
-definitional statistics the histograms are tested against.  ``table Nk``
-at the ceiling takes about 0.4 s cold (see ``PARTITION_CEILING``).
+Every count is read from the cached :func:`statistic_histogram`: one walk
+of ``partitions_of(n)`` for the crank and the rank, and for k >= 3
+N_k(., n-1) shifted by one plus the k-ranks of the partitions new at n.
+:func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
+only read those histograms; ``crank``, ``rank``, ``k_rank``,
+``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
+tested against.  ``table Nk`` at the ceiling takes about 0.3 s cold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice, repeat
 from typing import Dict, Iterable, Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
@@ -35,40 +37,17 @@ from .errors import ConventionCaseError, WindowTooLargeError
 Partition = Tuple[int, ...]
 
 #: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
-#: --maxm 6 --maxn 40`` takes about 0.4 s as a cold CLI process (median
-#: 0.41 s for k = 3 and 0.44 s for k = 5 over 65 runs each in BENCH_3.json,
+#: --maxm 6 --maxn 40`` takes about 0.3 s as a cold CLI process (median
+#: 0.30 s for k = 3 over 76 runs and 0.33 s for k = 5 over 73 in BENCH_4.json,
 #: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host speed).
 PARTITION_CEILING = 40
 
 
-def _reverse_lex_partitions(n: int) -> Iterator[Partition]:
-    # Algorithm ZS1 (Zoghbi and Stojmenovic, 1998): x[:m] is the current
-    # partition and x[h] its last part above 1.  The next partition lowers
-    # x[h] by one and refills the tail greedily with parts of that size,
-    # then the remainder.  A generator, so that tuple() builds the result
-    # without an intermediate list of all p(n) partitions.
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    yield (n,)
-    while x[0] != 1:
-        if x[h] == 2:
-            x[h] = 1
-            h -= 1
-            m += 1
-        else:
-            r = x[h] - 1
-            t = m - h
-            x[h] = r
-            while t >= r:
-                h += 1
-                x[h] = r
-                t -= r
-            m = h + 1 if t == 0 else h + 2
-            if t > 1:
-                h += 1
-                x[h] = t
-        yield tuple(x[:m])
+def _partitions_led_by(p: int, n: int) -> Iterator[Partition]:
+    """(p,) + mu over the partitions mu of n - p with first part <= p."""
+    rest = partitions_of(n - p)  # reverse-lex: those led by <= p are a suffix
+    start = bisect_left(rest, -p, key=lambda mu: -mu[0])
+    return map((p,).__add__, islice(rest, start, None))
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +55,11 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographically, each exactly once."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    return tuple(_reverse_lex_partitions(n)) if n else ((),)
+    if n == 0:
+        return ((),)
+    # (n,), then the blocks led by n-1 .. 1, with no intermediate list.
+    blocks = map(_partitions_led_by, range(n - 1, 0, -1), repeat(n))
+    return tuple(chain(((n,),), chain.from_iterable(blocks)))
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -160,14 +143,19 @@ def k_rank(parts: Partition, k: int) -> int:
     return right - below
 
 
-def _k_rank_counts(parts: Iterable[Partition], k: int) -> Dict[int, int]:
+def _k_rank_counts(parts: Iterable[Partition], k: int, fresh=False) -> Dict[int, int]:
     """k-rank counts (k >= 3) over ``parts``, one pass per partition.
 
     Partitions with fewer than k-1 successive Durfee squares are skipped.
+    With ``fresh``, so are those ending in a part 1 with more than k-1
+    squares: they are lam + (1,) for a lam with at least k-1 squares.
     """
     counts: Dict[int, int] = {}
     for lam in parts:
         size = len(lam)
+        ends_in_one = fresh and lam[-1] == 1
+        if ends_in_one and size >= k and lam[size - k + 1] == 1:
+            continue  # k-1 trailing ones below other rows: k or more squares
         d1 = 0
         while d1 < size and lam[d1] > d1:
             d1 += 1
@@ -187,6 +175,8 @@ def _k_rank_counts(parts: Iterable[Partition], k: int) -> Dict[int, int]:
             # c = max(d1, lam[d]) .. lam[0]-1, and lam[d] >= d1 always: if
             # d < d1, lam[d] >= lam[d1-1] >= d1; if d = d1, row d1 starts the
             # second square, of size d1.  No conjugate is needed.
+            if ends_in_one and pos < size:
+                continue
             m = lam[0] - lam[d] - (size - pos)
             counts[m] = counts.get(m, 0) + 1
     return counts
@@ -212,7 +202,15 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     elif n == 0:
         counts = {}  # N_2(0,0) = 0 and N_k(m,0) = 0 for k >= 3
     elif k >= 3:
-        counts = _k_rank_counts(partitions_of(n), k)
+        # Appending a part 1 keeps every Durfee square and adds a unit square
+        # below them.  If lam has at least k-1 squares, d_1, d_{k-1} and the
+        # columns right of the first square stay, and one more part lies
+        # below the (k-1)-th square: k-rank(lam + (1,)) = k-rank(lam) - 1.
+        # That gives N_k(., n-1) shifted by -1.  New at n are the 1-free
+        # partitions with at least k-1 squares and those ending in 1 with
+        # exactly k-1, among them 1^(k-1).
+        counts = Counter({m - 1: c for m, c in statistic_histogram(k, n - 1)})
+        counts.update(_k_rank_counts(partitions_of(n), k, fresh=True))
     else:
         counts = Counter(map(crank if k == 1 else rank, partitions_of(n)))
     return tuple(sorted(counts.items()))
@@ -222,8 +220,8 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
 class CountTable:
     """N_k(m, n) over the rectangle |m| <= max_abs_m, 0 <= n <= max_n.
 
-    Entries outside the window are absent, never implicitly zero; reading
-    one raises KeyError.
+    ``entries`` holds the nonzero counts only: an absent pair inside the
+    window counts 0, and reading a pair outside the window raises KeyError.
     """
 
     k: int
@@ -232,7 +230,9 @@ class CountTable:
     entries: Dict[Tuple[int, int], int] = field(repr=False)
 
     def count(self, m: int, n: int) -> int:
-        return self.entries[(m, n)]
+        if not self.in_window(m, n):
+            raise KeyError((m, n))
+        return self.entries.get((m, n), 0)
 
     def in_window(self, m: int, n: int) -> bool:
         return abs(m) <= self.max_abs_m and 0 <= n <= self.max_n
@@ -247,10 +247,9 @@ def count_table(k: int, max_abs_m: int, max_n: int) -> CountTable:
             f"max_n = {max_n} exceeds the enumeration ceiling {PARTITION_CEILING}"
         )
     entries = {
-        (m, n): 0 for m in range(-max_abs_m, max_abs_m + 1) for n in range(max_n + 1)
+        (m, n): count
+        for n in range(max_n + 1)
+        for m, count in statistic_histogram(k, n)
+        if abs(m) <= max_abs_m
     }
-    for n in range(max_n + 1):
-        for m, count in statistic_histogram(k, n):
-            if abs(m) <= max_abs_m:
-                entries[(m, n)] = count
     return CountTable(k=k, max_abs_m=max_abs_m, max_n=max_n, entries=entries)

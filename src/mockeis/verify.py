@@ -9,13 +9,16 @@ offender.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import functions as fn
 from . import mock
 from . import partitions as pt
 from . import pde
 from .errors import ConfigError
+from .qseries import QSeries
+from .wjets import WJet
 
 DEFAULT_KS = (3, 4, 5)
 
@@ -27,26 +30,40 @@ class CheckResult:
     detail: str = ""
 
 
-def _first_series_mismatch(a, b) -> Optional[str]:
-    order = min(a.order, b.order)
-    for n in range(order + 1):
-        if a.coeff(n) != b.coeff(n):
-            return f"q^{n}: {a.coeff(n)} != {b.coeff(n)}"
+def _first_nonzero(residual) -> Optional[Tuple[Optional[int], int, Fraction]]:
+    """(w-degree, n, coefficient) of the first nonzero coefficient, or None.
+
+    ``residual`` is a q-series, whose degree is None, or a jet in w: a WJet
+    or a list of q-series indexed by w-degree.
+    """
+    if isinstance(residual, QSeries):
+        by_degree = [(None, residual)]
+    elif isinstance(residual, WJet):
+        by_degree = zip(residual.degrees(), residual.coeffs)
+    else:
+        by_degree = enumerate(residual)
+    for d, series in by_degree:
+        for n, c in enumerate(series.coeffs):
+            if c:
+                return d, n, c
     return None
 
 
 def _series_check(name: str, a, b) -> CheckResult:
-    bad = _first_series_mismatch(a, b)
+    bad = _first_nonzero(a - b)
     if bad is None:
         return CheckResult(name, True)
-    return CheckResult(name, False, bad)
+    n = bad[1]
+    return CheckResult(name, False, f"q^{n}: {a.coeff(n)} != {b.coeff(n)}")
 
 
-def _zero_check(name: str, series) -> CheckResult:
-    for n in range(series.order + 1):
-        if series.coeff(n) != 0:
-            return CheckResult(name, False, f"q^{n}: {series.coeff(n)} != 0")
-    return CheckResult(name, True)
+def _zero_check(name: str, residual) -> CheckResult:
+    bad = _first_nonzero(residual)
+    if bad is None:
+        return CheckResult(name, True)
+    d, n, c = bad
+    where = f"q^{n}: {c} != 0" if d is None else f"w^{d} q^{n}: residual {c}"
+    return CheckResult(name, False, where)
 
 
 # -- suites ---------------------------------------------------------------
@@ -167,22 +184,10 @@ def suite_traces(
     """The moment/trace identity (with the theta shift) per k."""
     results = []
     for k in ks:
-        residuals = mock.trace_identity_residuals(k, max_j, order)
-        ok = True
-        detail = ""
-        for j, res in enumerate(residuals):
-            for n in range(res.order + 1):
-                if res.coeff(n) != 0:
-                    ok = False
-                    detail = f"w^{j} q^{n}: residual {res.coeff(n)}"
-                    break
-            if not ok:
-                break
         results.append(
-            CheckResult(
+            _zero_check(
                 f"traces: k={k} moment/trace identity (w^{max_j}, order {order})",
-                ok,
-                detail,
+                mock.trace_identity_residuals(k, max_j, order),
             )
         )
     return results
@@ -190,25 +195,12 @@ def suite_traces(
 
 def suite_crank(max_j: int = 8, order: int = 20) -> List[CheckResult]:
     """The crank analogue of the trace identity, plus method agreement."""
-    results = []
-    residuals = mock.crank_trace_residuals(max_j, order)
-    ok = True
-    detail = ""
-    for j, res in enumerate(residuals):
-        for n in range(res.order + 1):
-            if res.coeff(n) != 0:
-                ok = False
-                detail = f"w^{j} q^{n}: residual {res.coeff(n)}"
-                break
-        if not ok:
-            break
-    results.append(
-        CheckResult(
+    results = [
+        _zero_check(
             f"crank: trace identity for Eisenstein family (w^{max_j}, order {order})",
-            ok,
-            detail,
+            mock.crank_trace_residuals(max_j, order),
         )
-    )
+    ]
     for j in range(0, max_j + 1):
         results.append(
             _series_check(
@@ -255,23 +247,10 @@ def suite_pattern(ks: Iterable[int] = DEFAULT_KS, max_j: int = 12) -> List[Check
 
 
 def suite_pde(max_deg: int = 7, q_order: int = 20) -> List[CheckResult]:
-    residual = pde.pde_residual(max_deg, q_order)
-    ok = True
-    detail = ""
-    for d in residual.degrees():
-        series = residual.coeff(d)
-        for n in range(series.order + 1):
-            if series.coeff(n) != 0:
-                ok = False
-                detail = f"w^{d} q^{n}: residual {series.coeff(n)}"
-                break
-        if not ok:
-            break
     return [
-        CheckResult(
+        _zero_check(
             f"pde: level-5 residual zero on window [-5, {max_deg}] at order {q_order}",
-            ok,
-            detail,
+            pde.pde_residual(max_deg, q_order),
         )
     ]
 

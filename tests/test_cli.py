@@ -10,6 +10,7 @@ import mockeis.functions
 from mockeis import verify
 from mockeis.cli import main
 from mockeis.qseries import QSeries
+from mockeis.wjets import WJet
 
 
 def run_cli(capsys, *argv):
@@ -236,3 +237,16 @@ class TestVerifyCommand:
         for name, table in verify.SUITE_FLAGS.items():
             params = inspect.signature(verify.SUITES[name]).parameters
             assert set(table.values()) <= set(params)
+
+    def test_residual_details_name_the_first_nonzero_coefficient(self):
+        a, b = QSeries([1, 2, 3, 4]), QSeries([1, 2, 5, 6, 7])
+        zero = QSeries.zero(3)
+        assert verify._series_check("s", a, a.truncate(2)) == verify.CheckResult("s", True)
+        assert verify._series_check("s", a, b).detail == "q^2: 3 != 5"
+        assert verify._zero_check("z", zero).passed
+        assert verify._zero_check("z", a - b).detail == "q^2: -2 != 0"
+        assert verify._zero_check("j", [zero, zero]).passed
+        assert verify._zero_check("j", [zero, a - b]).detail == "w^1 q^2: residual -2"
+        jet = WJet(-2, [zero, zero, QSeries([0, F(1, 3), 0, 0])])
+        assert verify._zero_check("w", jet).detail == "w^0 q^1: residual 1/3"
+        assert verify._zero_check("w", WJet(-2, [zero, zero])).passed

@@ -209,6 +209,7 @@ class TestMultisum:
             series = krank_count_series(3, m, 12)
             for n in range(13):
                 assert multi.count(m, n) == brute.count(m, n) == series.coeff(n)
+        assert multi.entries == brute.entries  # both store the nonzero counts only
 
     def test_four_rank_multisum(self):
         brute = count_table(4, 3, 10)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mockeis.errors import ConventionCaseError, WindowTooLargeError
 from mockeis.functions import rank_moment
 from mockeis.partitions import (
+    PARTITION_CEILING,
     _k_rank_counts,
     count_table,
     crank,
@@ -51,7 +52,7 @@ class TestEnumeration:
                 for rest in descending(n - first, first):
                     yield (first,) + rest
 
-        for n in range(21):
+        for n in range(26):
             assert partitions_of(n) == tuple(descending(n, n))
 
     @given(partition_st)
@@ -90,6 +91,18 @@ class TestCrank:
     def test_partition_of_one_refused(self):
         with pytest.raises(ConventionCaseError):
             crank((1,))
+
+
+class TestAppendingAOne:
+    # The lemma behind the k >= 3 histogram recurrence.
+    @given(partition_st)
+    def test_adds_one_unit_durfee_square(self, lam):
+        assert durfee_sizes(lam + (1,)) == durfee_sizes(lam) + (1,)
+
+    @given(partition_st, st.integers(3, 7))
+    def test_lowers_the_k_rank_by_one(self, lam, k):
+        if len(durfee_sizes(lam)) >= k - 1:
+            assert k_rank(lam + (1,), k) == k_rank(lam, k) - 1
 
 
 class TestKRank:
@@ -143,6 +156,16 @@ class TestCountTable:
         with pytest.raises(WindowTooLargeError):
             count_table(3, 2, 41)
 
+    def test_stores_only_nonzero_counts(self):
+        table = count_table(3, 2000, 40)
+        nonzero = sum(len(statistic_histogram(3, n)) for n in range(41))
+        assert len(table.entries) == nonzero
+        assert table.count(2000, 40) == table.count(-1500, 7) == 0
+        with pytest.raises(KeyError):
+            table.count(2001, 40)
+        with pytest.raises(KeyError):
+            table.count(0, 41)
+
     def test_symmetry_in_m(self):
         for k in (1, 2, 3, 4, 5):
             table = count_table(k, 8, 12)
@@ -185,10 +208,24 @@ class TestStatisticHistogram:
         for n in range(23):
             assert dict(statistic_histogram(k, n)) == reference_histogram(k, n)
 
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_recurrence_at_the_ceiling(self, k):
+        # Forty shifts deep: the whole chain of N_k(., n-1) back to n = 0.
+        n = PARTITION_CEILING
+        assert dict(statistic_histogram(k, n)) == _k_rank_counts(partitions_of(n), k)
+
     @given(partition_st, st.integers(3, 6))
     def test_single_pass_k_rank_matches_conjugate_route(self, lam, k):
         expected = {k_rank(lam, k): 1} if len(durfee_sizes(lam)) >= k - 1 else {}
         assert _k_rank_counts([lam], k) == expected
+
+    @given(partition_st.filter(bool), st.integers(3, 7))
+    def test_fresh_counts_only_partitions_new_at_n(self, lam, k):
+        # New at n: not lam' + (1,) for a lam' with at least k-1 squares.
+        squares = len(durfee_sizes(lam))
+        new = squares == k - 1 or (squares > k - 1 and lam[-1] != 1)
+        expected = {k_rank(lam, k): 1} if new else {}
+        assert _k_rank_counts([lam], k, fresh=True) == expected
 
     def test_sorted_without_zero_counts(self):
         for k in (1, 2, 3, 5):
