@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import functions as fn
 from . import mock
@@ -44,12 +44,13 @@ class JobConfig:
     suite: Optional[str] = None
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the chunks in turn, to the --out file or to stdout."""
     if out:
         with open(out, "w", encoding="ascii") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _frac_str(value: Fraction) -> str:
@@ -80,7 +81,7 @@ def cmd_f(config: JobConfig) -> int:
     _check_k(config)
     series = _family_member(config)
     if config.fmt == "text":
-        _emit(str(series) + "\n", config.out)
+        _emit([str(series) + "\n"], config.out)
     elif config.fmt == "json":
         payload = {
             "object": "qseries",
@@ -91,16 +92,17 @@ def cmd_f(config: JobConfig) -> int:
         }
         if config.k == 2:
             payload["extrapolated"] = True
-        _emit(json.dumps(payload) + "\n", config.out)
+        _emit([json.dumps(payload) + "\n"], config.out)
     elif config.fmt == "bfile":
         shifted = series + bernoulli(config.j) / (2 * config.j)
-        for n, c in enumerate(shifted.coeffs):
-            if c.denominator != 1:
-                raise ConfigError(
-                    f"bfile export needs an integral series; coefficient of q^{n} is {c}"
-                )
-        lines = "".join(f"{n} {c.numerator}\n" for n, c in enumerate(shifted.coeffs))
-        _emit(lines, config.out)
+        n = mock.first_fractional(shifted)
+        if n is not None:
+            raise ConfigError(
+                "bfile export needs an integral series; "
+                f"coefficient of q^{n} is {shifted.coeff(n)}"
+            )
+        lines = "".join(f"{n} {c}\n" for n, c in enumerate(shifted.nums))
+        _emit([lines], config.out)
     else:
         raise ConfigError(f"unknown format {config.fmt!r}")
     if config.k == 2:
@@ -111,29 +113,39 @@ def cmd_f(config: JobConfig) -> int:
     return 0
 
 
-def _table_nk(config: JobConfig):
+def _table_nk(config: JobConfig) -> Iterator[str]:
+    """The table as text chunks, one per m, so that only one m's rows are held.
+
+    The text is a head, the cells of every (m, n) joined by a separator,
+    and a tail: the csv lines, or ``json.dumps`` of the payload whose
+    ``entries`` are the [m, n, count] lists.
+    """
     _check_k(config)
     if config.max_m is None or config.max_n is None:
         raise ConfigError("table Nk needs --maxm and --maxn")
     table = pt.count_table(config.k, config.max_m, config.max_n)
     if config.fmt == "csv":
-        lines = ["m,n,count"]
+        head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
+    else:
+        payload = {
+            "object": "count_table",
+            "k": config.k,
+            "max_abs_m": config.max_m,
+            "max_n": config.max_n,
+            "entries": [],
+        }
+        head = json.dumps(payload)[: -len("]}")]
+        cell, sep, tail = "[{}, {}, {}]", ", ", "]}\n"
+    ns = range(config.max_n + 1)
+
+    def chunks() -> Iterator[str]:
+        yield head
         for m in range(-config.max_m, config.max_m + 1):
-            for n in range(config.max_n + 1):
-                lines.append(f"{m},{n},{table.count(m, n)}")
-        return "\n".join(lines) + "\n"
-    payload = {
-        "object": "count_table",
-        "k": config.k,
-        "max_abs_m": config.max_m,
-        "max_n": config.max_n,
-        "entries": [
-            [m, n, table.count(m, n)]
-            for m in range(-config.max_m, config.max_m + 1)
-            for n in range(config.max_n + 1)
-        ],
-    }
-    return json.dumps(payload) + "\n"
+            rows = sep.join(cell.format(m, n, table.count(m, n)) for n in ns)
+            yield rows if m == -config.max_m else sep + rows
+        yield tail
+
+    return chunks()
 
 
 def _table_moments(config: JobConfig):
@@ -198,14 +210,14 @@ def _table_traces(config: JobConfig):
 
 def cmd_table(config: JobConfig) -> int:
     if config.kind == "Nk":
-        text = _table_nk(config)
+        chunks = _table_nk(config)
     elif config.kind == "moments":
-        text = _table_moments(config)
+        chunks = [_table_moments(config)]
     elif config.kind == "traces":
-        text = _table_traces(config)
+        chunks = [_table_traces(config)]
     else:
         raise ConfigError(f"unknown table kind {config.kind!r}")
-    _emit(text, config.out)
+    _emit(chunks, config.out)
     return 0
 
 
@@ -217,20 +229,21 @@ def cmd_verify(config: JobConfig) -> int:
         "--maxm": config.max_m,
         "--order": config.order,
     }
-    try:
-        results = verify.run_suite(config.suite, flags)
-    except KeyError:
-        raise ConfigError(f"unknown suite {config.suite!r}") from None
-    failed = 0
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        line = f"{status} {result.name}"
-        if result.detail:
-            line += f" [{result.detail}]"
-        print(line)
-        if not result.passed:
-            failed += 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    if config.suite not in SUITE_CHOICES:
+        raise ConfigError(f"unknown suite {config.suite!r}")
+    total = failed = 0
+    # Each suite's lines are printed as it finishes, so an error in a later
+    # suite (exit 2) does not discard the results already computed.
+    for results in verify.iter_suites(config.suite, flags):
+        for result in results:
+            status = "PASS" if result.passed else "FAIL"
+            line = f"{status} {result.name}"
+            if result.detail:
+                line += f" [{result.detail}]"
+            print(line)
+            failed += not result.passed
+        total += len(results)
+    print(f"{total - failed}/{total} checks passed")
     return 0 if failed == 0 else 1
 
 

@@ -46,9 +46,8 @@ def eisenstein(weight: int, order: int) -> QSeries:
         raise ValueError("Eisenstein weight must be >= 1")
     if weight % 2:
         return QSeries.zero(order)
-    coeffs = [-bernoulli(weight) / (2 * weight)]
-    coeffs.extend(Fraction(sigma_power(n, weight - 1)) for n in range(1, order + 1))
-    return QSeries(coeffs)
+    sigmas = QSeries._of([0] + [sigma_power(n, weight - 1) for n in range(1, order + 1)])
+    return sigmas - bernoulli(weight) / (2 * weight)
 
 
 def _theta_terms(a: int, b: int, order: int):
@@ -78,10 +77,10 @@ def _theta_terms(a: int, b: int, order: int):
 
 def theta_series(a: int, b: int, order: int) -> QSeries:
     """theta_{a,b} = sum_{n in Z} (-1)^n q^{(b n^2 + a n)/2}, truncated."""
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for n, h in _theta_terms(a, b, order):
         coeffs[h] += (-1) ** (n & 1)
-    return QSeries(coeffs)
+    return QSeries._of(coeffs)
 
 
 def theta_deriv(a: int, b: int, m: int, order: int) -> QSeries:
@@ -91,10 +90,10 @@ def theta_deriv(a: int, b: int, m: int, order: int) -> QSeries:
     """
     if m < 0:
         raise ValueError("derivative order must be non-negative")
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     for n, h in _theta_terms(a, b, order):
         coeffs[h] += (-1) ** (n & 1) * (2 * h) ** m
-    return QSeries(coeffs)
+    return QSeries._of(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -115,15 +114,14 @@ def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
         return QSeries.one(order)
     if ell % 2:
         return QSeries.zero(order)
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = (1 - 2 ** (ell - 1)) * bernoulli(ell) / (2 * ell)
+    coeffs = [0] * (order + 1)
     for m in range(1, order + 1):
         for n in range(1, order // m + 1):
             if a * n - 1 >= b * m >= b:
                 coeffs[m * n] += (a * n - b * m) ** (ell - 1)
             if m - 1 >= a * b * n >= a * b:
                 coeffs[m * n] -= (m - a * b * n) ** (ell - 1)
-    return QSeries(coeffs)
+    return QSeries._of(coeffs) + (1 - 2 ** (ell - 1)) * bernoulli(ell) / (2 * ell)
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +133,7 @@ def krank_count_series(k: int, m: int, order: int) -> QSeries:
     if k < 2:
         raise ValueError("count series require k >= 2")
     d = 2 * k - 1
-    numer = [Fraction(0)] * (order + 1)
+    numer = [0] * (order + 1)
     n = 1
     while True:
         e = n * (d * n - 1) // 2 + abs(m) * n
@@ -146,7 +144,7 @@ def krank_count_series(k: int, m: int, order: int) -> QSeries:
         if e + n <= order:
             numer[e + n] -= sign
         n += 1
-    return QSeries(numer) * partition_series(order)
+    return QSeries._of(numer) * partition_series(order)
 
 
 @dataclass(frozen=True)
@@ -165,13 +163,13 @@ def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:
         return (QSeries.one(order) - theta_series(1, d, order)) * partition_series(order)
     if j % 2:
         return QSeries.zero(order)
-    coeffs = [Fraction(0)] * (order + 1)
+    coeffs = [0] * (order + 1)
     n = 1
     while True:
         base = n * (d * n - 1) // 2
         if base > order:
             break
-        sign = 1 if n % 2 else -1
+        sign = 2 if n % 2 else -2
         m = 1
         while base + m * n <= order:
             e = base + m * n
@@ -180,7 +178,7 @@ def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:
                 coeffs[e + n] -= sign * m**j
             m += 1
         n += 1
-    return (QSeries(coeffs) * 2) * partition_series(order)
+    return QSeries._of(coeffs) * partition_series(order)
 
 
 def _rank_moment_divisor_sum(k: int, j: int, order: int) -> QSeries:
@@ -205,11 +203,9 @@ def _combinatorial_moment(k: int, j: int, order: int) -> QSeries:
             f"{what} enumeration to order {order} exceeds the ceiling "
             f"{pt.PARTITION_CEILING}"
         )
-    return QSeries(
-        [
-            Fraction(sum(count * m**j for m, count in pt.statistic_histogram(k, n)))
-            for n in range(order + 1)
-        ]
+    return QSeries._of(
+        sum(count * m**j for m, count in pt.statistic_histogram(k, n))
+        for n in range(order + 1)
     )
 
 
@@ -363,7 +359,7 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
             if hi > lo:
                 purq = purq * q_pochhammer(hi - lo, rem).inverse()
         zfac = _zseries_inv(_zeta_pochhammer(tup[0], rem), rem)
-        diag = [({0: c.numerator} if c else {}) for c in purq.coeffs]
+        diag = [({0: c} if c else {}) for c in purq.nums]
         prod = _zseries_mul(diag, zfac, rem)
         for n_off, layer in enumerate(prod):
             tgt = table[base + n_off]

@@ -222,6 +222,25 @@ def mock_eisenstein_family(
 # -- identity checks ------------------------------------------------------
 
 
+def _trace_residuals(moments: List[QSeries], members: Members, order: int) -> List[QSeries]:
+    """Residuals, one per power of w through w^(len(moments) - 1), of
+
+        sum_j M_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, members) w^j
+
+    for the moment series M_j = ``moments[j]``.
+    """
+    max_j = len(moments) - 1
+    traces = build_jet(
+        {j: partition_trace(j, members, order, "phi") for j in range(max_j + 1)},
+        0,
+        max_j,
+        order,
+    )
+    sinc = rational_jet(two_sinh_half_over_w(max_j), order)
+    rhs = (sinc * traces).scale(partition_series(order))
+    return [moments[j] / factorial(j) - rhs.coeff(j) for j in range(max_j + 1)]
+
+
 def trace_identity_residuals(
     k: int, max_j: int, order: int, route: str = "recursionA"
 ) -> List[QSeries]:
@@ -236,21 +255,9 @@ def trace_identity_residuals(
     if max_j % 2:
         raise ValueError("max_j must be even")
     fam = mock_eisenstein_family(k, max(max_j, 2), order, route)
-    inv_euler = partition_series(order)
-    lhs = [
-        fn.rank_moment(k, j, order, "direct").series / factorial(j)
-        for j in range(max_j + 1)
-    ]
-    lhs[0] = lhs[0] + fn.theta_series(1, 2 * k - 1, order) * inv_euler
-    traces = build_jet(
-        {j: partition_trace(j, fam.member, order, "phi") for j in range(max_j + 1)},
-        0,
-        max_j,
-        order,
-    )
-    sinc = rational_jet(two_sinh_half_over_w(max_j), order)
-    rhs = (sinc * traces).scale(inv_euler)
-    return [lhs[j] - rhs.coeff(j) for j in range(max_j + 1)]
+    moments = [fn.rank_moment(k, j, order, "direct").series for j in range(max_j + 1)]
+    moments[0] = moments[0] + fn.theta_series(1, 2 * k - 1, order) * partition_series(order)
+    return _trace_residuals(moments, fam.member, order)
 
 
 def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
@@ -261,21 +268,10 @@ def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
     with C_j from enumeration and G the Eisenstein family."""
     if max_j % 2:
         raise ValueError("max_j must be even")
-    inv_euler = partition_series(order)
-    members = eisenstein_members(order)
-    lhs = [
-        fn.crank_moment(j, order, "combinatorial").series / factorial(j)
-        for j in range(max_j + 1)
+    moments = [
+        fn.crank_moment(j, order, "combinatorial").series for j in range(max_j + 1)
     ]
-    traces = build_jet(
-        {j: partition_trace(j, members, order, "phi") for j in range(max_j + 1)},
-        0,
-        max_j,
-        order,
-    )
-    sinc = rational_jet(two_sinh_half_over_w(max_j), order)
-    rhs = (sinc * traces).scale(inv_euler)
-    return [lhs[j] - rhs.coeff(j) for j in range(max_j + 1)]
+    return _trace_residuals(moments, eisenstein_members(order), order)
 
 
 @dataclass(frozen=True)
@@ -295,10 +291,18 @@ def integrality_check(family: MockFamily) -> IntegralityReport:
     """Check that every member plus B_j/(2j) has integer coefficients."""
     for j in range(2, family.max_j + 1, 2):
         shifted = family.member(j) + bernoulli(j) / (2 * j)
-        for n, c in enumerate(shifted.coeffs):
-            if c.denominator != 1:
-                return IntegralityReport(ok=False, j=j, n=n, value=c)
+        n = first_fractional(shifted)
+        if n is not None:
+            return IntegralityReport(ok=False, j=j, n=n, value=shifted.coeff(n))
     return IntegralityReport(ok=True)
+
+
+def first_fractional(series: QSeries) -> Optional[int]:
+    """The first n whose coefficient of q^n is not an integer, or None."""
+    if series.den == 1:
+        return None
+    # In lowest terms some numerator is not a multiple of a den above 1.
+    return next(n for n, c in enumerate(series.nums) if c % series.den)
 
 
 @dataclass(frozen=True)

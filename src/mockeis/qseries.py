@@ -1,37 +1,42 @@
 """Truncated formal power series in q over exact rationals.
 
-A :class:`QSeries` stores the coefficients c_0, ..., c_N of sum_n c_n q^n
-together with the truncation order N.  Every coefficient is a
-``fractions.Fraction`` and all arithmetic is exact.  Binary operations
-truncate to the smaller operand order, so a result never claims a
-coefficient it cannot certify; reading past the order raises instead of
-returning a silent zero.
+A :class:`QSeries` holds the coefficients c_0, ..., c_N of sum_n c_n q^n,
+N being the truncation order, as integer numerators ``nums`` over one
+common denominator ``den``: c_n = nums[n] / den.  The pair is kept in
+lowest terms (den > 0 and gcd(den, *nums) == 1), so equal series have
+equal fields and ``==`` is structural.  The series this package builds
+are integral apart from a few constant terms, so ``den`` stays small and
+all arithmetic runs on Python ints: a sum rescales its operands to the
+lcm of their denominators, a scalar product multiplies the numerators and
+the denominator, and each result is reduced by one gcd.  ``coeffs`` reads
+the coefficients out as normalised ``fractions.Fraction``.  Binary
+operations truncate to the smaller operand order, so a result never
+claims a coefficient it cannot certify; reading past the order raises
+instead of returning a silent zero.
 
 Series products use Kronecker substitution (Schoenhage 1982; Harvey,
-J. Symb. Comput. 2009).  Each operand is scaled to integer numerators over
-the lcm of its denominators, and the numerators are packed into one
-Python ``int`` as the value of the polynomial at 2^w.  One big-integer
-multiply then does the whole convolution.  The slot width w exceeds the
-bit length of the bound max|a| * max|b| * (N + 1) on every product
-coefficient, so no slot overflows into the next, and the signed slots are
-read back exactly with a borrow from each negative slot to the one above.
-Nothing is approximated: the products equal those of the schoolbook
-convolution, which the test suite keeps as an independent oracle.
+J. Symb. Comput. 2009).  The numerators of each operand are packed into
+one Python ``int`` as the value of the polynomial at 2^w, one big-integer
+multiply does the whole convolution, and the product's denominator is
+the product of the two.  The slot width w exceeds the bit length of the
+bound max|a| * max|b| * (N + 1) on every product coefficient, so no slot
+overflows into the next, and the signed slots are read back exactly with
+a borrow from each negative slot to the one above.  Nothing is
+approximated: the products equal those of the schoolbook convolution,
+which the test suite keeps as an independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterable, Union
+from math import gcd, lcm
+from operator import add, mul, neg, sub
+from typing import Iterable, Tuple, Union
 
 from .errors import ConstantTermError, ZeroConstantTermError
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _coerce(value) -> Fraction:
@@ -44,15 +49,15 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
-def _numerators(coeffs: tuple) -> tuple:
-    """(integer numerators, common denominator) of a tuple of Fractions."""
-    den = lcm(*{c.denominator for c in coeffs})
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _ratio(value) -> Tuple[int, int]:
+    """(numerator, denominator) of an exact rational scalar, in lowest terms."""
+    if isinstance(value, int):
+        return value, 1
+    c = _coerce(value)
+    return c.numerator, c.denominator
 
 
-def _pack(values: list, width: int) -> int:
+def _pack(values: tuple, width: int) -> int:
     """sum_i values[i] * 256^(width * i), for |values[i]| < 256^width."""
     pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
     neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
@@ -60,16 +65,14 @@ def _pack(values: list, width: int) -> int:
 
 
 def _kronecker_product(a: tuple, b: tuple) -> tuple:
-    """The first len(a) coefficients of the product of two equal-length series."""
+    """The first len(a) coefficients of the product of two equal-length integer series."""
     n = len(a)
-    na, da = _numerators(a)
-    nb, db = _numerators(b)
-    bound = max(map(abs, na)) * max(map(abs, nb)) * n
+    bound = max(map(abs, a)) * max(map(abs, b)) * n
     if not bound:
-        return (_ZERO,) * n
+        return (0,) * n
     # Bytes per slot: every |c_k| <= bound < 2^(8 * width - 1).
     width = (bound.bit_length() + 8) // 8
-    product = _pack(na, width) * _pack(nb, width)
+    product = _pack(a, width) * _pack(b, width)
     low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     out = []
     borrow = 0
@@ -79,122 +82,156 @@ def _kronecker_product(a: tuple, b: tuple) -> tuple:
         s = int.from_bytes(low[i : i + width], "little", signed=True)
         out.append(s + borrow)
         borrow = s < 0
-    den = da * db
-    if den == 1:
-        return tuple(map(Fraction, out))
-    return tuple(Fraction(c, den) for c in out)
+    return tuple(out)
 
 
 class QSeries:
-    """Power series in q known through q^order, with exact coefficients."""
+    """Power series in q known through q^order: coefficient n is nums[n] / den."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Rational]):
-        cs = tuple(_coerce(c) for c in coeffs)
+        cs = [_coerce(c) for c in coeffs]
         if not cs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        self.coeffs = cs
+        # Over the lcm of reduced denominators the numerators are already in
+        # lowest terms: a prime's highest power in the lcm divides one
+        # denominator exactly, and that numerator is prime to it.
+        den = lcm(*(c.denominator for c in cs))
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
 
     @classmethod
-    def _raw(cls, coeffs: tuple) -> "QSeries":
+    def _of(cls, nums: Iterable[int], den: int = 1) -> "QSeries":
+        """The series with coefficients nums[n] / den (den > 0), in lowest terms."""
+        nums = tuple(nums)
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple(c // g for c in nums)
+                den //= g
         series = object.__new__(cls)
-        series.coeffs = coeffs
+        series.nums = nums
+        series.den = den
         return series
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
-        return cls._raw((_ZERO,) * (order + 1))
+        return cls._of((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls.constant(_ONE, order)
+        return cls._of((1,) + (0,) * order)
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "QSeries":
-        return cls._raw((_coerce(value),) + (_ZERO,) * order)
+        p, q = _ratio(value)
+        return cls._of((p,) + (0,) * order, q)
 
     @classmethod
     def monomial(cls, value: Rational, n: int, order: int) -> "QSeries":
         if not 0 <= n <= order:
             raise ValueError(f"monomial degree {n} outside [0, {order}]")
-        cs = [_ZERO] * (order + 1)
-        cs[n] = _coerce(value)
-        return cls._raw(tuple(cs))
+        p, q = _ratio(value)
+        nums = [0] * (order + 1)
+        nums[n] = p
+        return cls._of(nums, q)
 
     @classmethod
     def from_terms(cls, terms: dict, order: int) -> "QSeries":
         """Series from an {exponent: coefficient} map; exponents beyond order are dropped."""
-        cs = [_ZERO] * (order + 1)
+        cs = [Fraction(0)] * (order + 1)
         for n, c in terms.items():
             if n < 0:
                 raise ValueError("negative q-exponent")
             if n <= order:
                 cs[n] += _coerce(c)
-        return cls._raw(tuple(cs))
+        return cls(cs)
 
     # -- basic accessors ---------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of Fractions in lowest terms."""
+        if self.den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(
                 f"coefficient of q^{n} requested beyond truncation order {self.order}"
             )
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den)
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} series to {order}")
         if order == self.order:
             return self
-        return QSeries._raw(self.coeffs[: order + 1])
+        return QSeries._of(self.nums[: order + 1], self.den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     __hash__ = None  # equality is structural, so instances stay unhashable
 
     # -- ring operations ----------------------------------------------
 
+    def _combine(self, other: "QSeries", op) -> "QSeries":
+        """op on the numerators over the common order and denominator."""
+        da, db = self.den, other.den
+        if da == db:
+            return QSeries._of(map(op, self.nums, other.nums), da)
+        den = lcm(da, db)
+        sa, sb = den // da, den // db
+        return QSeries._of(
+            (op(x * sa, y * sb) for x, y in zip(self.nums, other.nums)), den
+        )
+
     def __add__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
-            n = min(self.order, other.order)
-            return QSeries._raw(
-                tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-            )
-        c = _coerce(other)
-        return QSeries._raw((self.coeffs[0] + c,) + self.coeffs[1:])
+            return self._combine(other, add)
+        p, q = _ratio(other)
+        den = lcm(self.den, q)
+        s = den // self.den
+        nums = self.nums if s == 1 else tuple(c * s for c in self.nums)
+        return QSeries._of((nums[0] + p * (den // q),) + nums[1:], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries._raw(tuple(-c for c in self.coeffs))
+        return QSeries._of(map(neg, self.nums), self.den)
 
     def __sub__(self, other) -> "QSeries":
-        return self + (-other if isinstance(other, QSeries) else -_coerce(other))
+        if isinstance(other, QSeries):
+            return self._combine(other, sub)
+        return self + (-_coerce(other))
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
-            n = min(self.order, other.order)
-            return QSeries._raw(_kronecker_product(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        c = _coerce(other)
-        if c == 1:
+            n = min(len(self.nums), len(other.nums))
+            return QSeries._of(
+                _kronecker_product(self.nums[:n], other.nums[:n]), self.den * other.den
+            )
+        p, q = _ratio(other)
+        if p == q:
             return self
-        return QSeries._raw(tuple(c * x for x in self.coeffs))
+        return QSeries._of([c * p for c in self.nums], self.den * q)
 
     __rmul__ = __mul__
 
@@ -220,50 +257,64 @@ class QSeries:
     # -- analytic-style operations -------------------------------------
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse up to the truncation order."""
-        a = self.coeffs
-        if a[0] == 0:
+        """Multiplicative inverse up to the truncation order.
+
+        The recurrence b_n = -(1/a_0) sum_{k=1}^{n} a_k b_{n-k}, in integers:
+        with a_k = A_k / den and t = A_0, b_n = den * B_n / t^(n+1), where
+        B_0 = 1 and B_n = -sum_{k=1}^{n} A_k t^(k-1) B_{n-k}.
+        """
+        a = self.nums
+        t = a[0]
+        if t == 0:
             raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        b = [1 / a[0]]
-        for n in range(1, self.order + 1):
-            acc = _ZERO
-            for k in range(1, n + 1):
-                if a[k]:
-                    acc += a[k] * b[n - k]
-            b.append(-b[0] * acc)
-        return QSeries._raw(tuple(b))
+        terms = [(k, c * t ** (k - 1)) for k, c in enumerate(a) if k and c]
+        b = [1]
+        for n in range(1, len(a)):
+            acc = 0
+            for k, w in terms:
+                if k > n:
+                    break
+                acc += w * b[n - k]
+            b.append(-acc)
+        top = len(a) - 1
+        if t < 0 and top % 2 == 0:
+            # t^(top + 1) < 0: carry its sign in the numerators.
+            b = [-c for c in b]
+        return QSeries._of(
+            [self.den * c * t ** (top - n) for n, c in enumerate(b)], abs(t) ** (top + 1)
+        )
 
     def exp(self) -> "QSeries":
         """exp of a series with zero constant term: n b_n = sum_k k a_k b_{n-k}."""
         a = self.coeffs
         if a[0] != 0:
             raise ConstantTermError("exp requires a zero constant term")
-        b = [_ONE]
+        b = [Fraction(1)]
         for n in range(1, self.order + 1):
-            acc = _ZERO
+            acc = Fraction(0)
             for k in range(1, n + 1):
                 if a[k]:
                     acc += k * a[k] * b[n - k]
             b.append(acc / n)
-        return QSeries._raw(tuple(b))
+        return QSeries(b)
 
     def log(self) -> "QSeries":
         """log of a series with constant term 1; inverse of :meth:`exp`."""
         a = self.coeffs
         if a[0] != 1:
             raise ConstantTermError("log requires constant term 1")
-        l = [_ZERO]
+        l = [Fraction(0)]
         for n in range(1, self.order + 1):
-            acc = _ZERO
+            acc = Fraction(0)
             for k in range(1, n):
                 if l[k] and a[n - k]:
                     acc += k * l[k] * a[n - k]
             l.append(a[n] - acc / n)
-        return QSeries._raw(tuple(l))
+        return QSeries(l)
 
     def qderiv(self) -> "QSeries":
         """The operator q d/dq: coefficient of q^n becomes n c_n."""
-        return QSeries._raw(tuple(n * c for n, c in enumerate(self.coeffs)))
+        return QSeries._of(map(mul, range(len(self.nums)), self.nums), self.den)
 
     # -- display --------------------------------------------------------
 
@@ -316,9 +367,8 @@ def q_pochhammer(n: int, order: int) -> QSeries:
     """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated."""
     if n < 0:
         raise ValueError("q-Pochhammer length must be non-negative")
-    c = [_ZERO] * (order + 1)
-    c[0] = _ONE
+    c = [1] + [0] * order
     for k in range(1, n + 1):
         for m in range(order, k - 1, -1):
             c[m] -= c[m - k]
-    return QSeries._raw(tuple(c))
+    return QSeries._of(c)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import functions as fn
 from . import mock
@@ -43,9 +43,9 @@ def _first_nonzero(residual) -> Optional[Tuple[Optional[int], int, Fraction]]:
     else:
         by_degree = enumerate(residual)
     for d, series in by_degree:
-        for n, c in enumerate(series.coeffs):
+        for n, c in enumerate(series.nums):
             if c:
-                return d, n, c
+                return d, n, Fraction(c, series.den)
     return None
 
 
@@ -294,23 +294,31 @@ SUITE_FLAGS: Dict[str, Dict[str, str]] = {
 }
 
 
-def run_suite(name: str, flags: Optional[Dict[str, object]] = None) -> List[CheckResult]:
-    """Run one named suite (or 'all') with size overrides keyed by CLI flag.
+def iter_suites(
+    name: str, flags: Optional[Dict[str, object]] = None
+) -> Iterator[List[CheckResult]]:
+    """Run one named suite (or 'all'), yielding each suite's results as it finishes.
 
-    Flags whose value is None are not given.  A value is passed as the
-    suite parameter that :data:`SUITE_FLAGS` maps the flag to.
+    ``flags`` are size overrides keyed by CLI flag; flags whose value is
+    None are not given.  A value is passed as the suite parameter that
+    :data:`SUITE_FLAGS` maps the flag to.  Under 'all', an error in one
+    suite stops the run after the results of the suites before it.
     """
     given = {flag: v for flag, v in (flags or {}).items() if v is not None}
     if name == "all":
-        results = []
         for key in SUITES:
             taken = {f: v for f, v in given.items() if f in SUITE_FLAGS[key]}
-            results.extend(run_suite(key, taken))
-        return results
+            yield from iter_suites(key, taken)
+        return
     if name not in SUITES:
         raise KeyError(name)
     params = SUITE_FLAGS[name]
     unknown = [flag for flag in given if flag not in params]
     if unknown:
         raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
-    return SUITES[name](**{params[flag]: v for flag, v in given.items()})
+    yield SUITES[name](**{params[flag]: v for flag, v in given.items()})
+
+
+def run_suite(name: str, flags: Optional[Dict[str, object]] = None) -> List[CheckResult]:
+    """The results of one named suite (or 'all'), as one list; see :func:`iter_suites`."""
+    return [result for results in iter_suites(name, flags) for result in results]

@@ -9,6 +9,7 @@ import pytest
 import mockeis.functions
 from mockeis import verify
 from mockeis.cli import main
+from mockeis.partitions import count_table
 from mockeis.qseries import QSeries
 from mockeis.wjets import WJet
 
@@ -149,6 +150,32 @@ class TestTableCommand:
         assert code == 2
         assert "ceiling" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1)])
+    def test_nk_streams_the_bytes_of_the_whole_text(self, capsys, tmp_path, fmt, k, max_m, max_n):
+        # The text the table command built in one piece before it streamed.
+        table = count_table(k, max_m, max_n)
+        cells = [
+            [m, n, table.count(m, n)]
+            for m in range(-max_m, max_m + 1)
+            for n in range(max_n + 1)
+        ]
+        if fmt == "csv":
+            whole = "\n".join(["m,n,count"] + [f"{m},{n},{c}" for m, n, c in cells]) + "\n"
+        else:
+            payload = {"object": "count_table", "k": k, "max_abs_m": max_m,
+                       "max_n": max_n, "entries": cells}
+            whole = json.dumps(payload) + "\n"
+        argv = ("table", "Nk", "--k", str(k), "--maxm", str(max_m), "--maxn", str(max_n),
+                "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == whole
+        target = tmp_path / f"nk.{fmt}"
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (0, "")
+        assert target.read_text(encoding="ascii") == whole
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, capsys):
@@ -188,6 +215,34 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+    def test_all_prints_finished_suites_before_an_error(self, capsys):
+        # counts takes k = 2; moments rejects it after counts has run.
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--k", "2")
+        assert code == 2
+        assert out == "PASS counts: N_2 enumeration = count series (n<=25, |m|<=6)\n"
+        assert "rank moments require k >= 3" in err
+
+    def test_all_prints_every_result_then_the_total(self, capsys, monkeypatch):
+        def suite(name, passed):
+            return lambda **kwargs: [verify.CheckResult(f"{name} {i}", passed) for i in range(2)]
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, suite(name, name != "crank"))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 1
+        lines = [
+            f"{'PASS' if name != 'crank' else 'FAIL'} {name} {i}"
+            for name in verify.SUITES
+            for i in range(2)
+        ]
+        n = len(lines)
+        assert out == "\n".join(lines + [f"{n - 2}/{n} checks passed"]) + "\n"
+        assert verify.run_suite("all") == [
+            verify.CheckResult(f"{name} {i}", name != "crank")
+            for name in verify.SUITES
+            for i in range(2)
+        ]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

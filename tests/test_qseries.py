@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockeis.errors import ConstantTermError, ZeroConstantTermError
-from mockeis.functions import theta_series
+from mockeis.functions import (
+    divisor_like_sum,
+    eisenstein,
+    krank_count_series,
+    rank_moment,
+    theta_deriv,
+    theta_series,
+)
+from mockeis.mock import mock_eisenstein_family
 from mockeis.qseries import QSeries, euler_product, partition_series, q_pochhammer
 
 
@@ -271,3 +279,133 @@ class TestRingProperties:
     @given(series_st(), series_st())
     def test_deriv_commutes_with_add(self, a, b):
         assert (a + b).qderiv() == a.qderiv() + b.qderiv()
+
+
+# -- integer storage against a Fraction oracle ------------------------------
+
+
+def assert_stores(series, expected):
+    """``series`` holds exactly ``expected``, as integers over one denominator in lowest terms."""
+    assert type(series.den) is int and series.den > 0
+    assert all(type(c) is int for c in series.nums)
+    assert gcd(series.den, *series.nums) == 1
+    coeffs = series.coeffs
+    assert type(coeffs) is tuple
+    assert all(type(c) is F and gcd(c.numerator, c.denominator) == 1 for c in coeffs)
+    assert coeffs == tuple(expected)
+
+
+halves = st.builds(lambda n: F(2 * n + 1, 2), st.integers(-20, 20))
+
+storage_series = st.one_of(
+    series_st(max_order=30),
+    series_st(max_order=30, coeffs=wide_rationals),
+    # Equal denominators whose sums and differences are integers.
+    series_st(max_order=30, coeffs=halves),
+    series_st(max_order=30, coeffs=st.integers(-(2**70), 2**70)),
+    st.integers(0, 30).map(QSeries.zero),
+)
+
+scalars = st.one_of(st.integers(-50, 50), rationals, wide_rationals)
+
+
+class TestStorageAgainstOracle:
+    @given(storage_series, storage_series)
+    @settings(deadline=None)
+    def test_add_and_sub(self, a, b):
+        pairs = list(zip(a.coeffs, b.coeffs))
+        assert_stores(a + b, [x + y for x, y in pairs])
+        assert_stores(a - b, [x - y for x, y in pairs])
+        assert_stores(b - a, [y - x for x, y in pairs])
+
+    @given(storage_series)
+    def test_neg(self, a):
+        assert_stores(-a, [-x for x in a.coeffs])
+
+    @given(storage_series, scalars)
+    @settings(deadline=None)
+    def test_scalars(self, a, c):
+        cs = a.coeffs
+        assert_stores(a * c, [x * c for x in cs])
+        assert_stores(c * a, [c * x for x in cs])
+        assert_stores(a + c, [cs[0] + c, *cs[1:]])
+        assert_stores(c + a, [c + cs[0], *cs[1:]])
+        assert_stores(a - c, [cs[0] - c, *cs[1:]])
+        assert_stores(c - a, [c - cs[0], *[-x for x in cs[1:]]])
+        if c == 0:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+        else:
+            assert_stores(a / c, [x / F(c) for x in cs])
+
+    @given(storage_series, st.data())
+    def test_truncate(self, a, data):
+        order = data.draw(st.integers(0, a.order))
+        assert_stores(a.truncate(order), a.coeffs[: order + 1])
+
+    @given(storage_series)
+    def test_qderiv(self, a):
+        assert_stores(a.qderiv(), [n * x for n, x in enumerate(a.coeffs)])
+
+    @given(series_st(max_order=12), st.integers(0, 4))
+    @settings(deadline=None)
+    def test_pow(self, a, e):
+        expected = (F(1),) + (F(0),) * a.order
+        for _ in range(e):
+            expected = schoolbook_product(expected, a.coeffs)
+        assert_stores(a**e, expected)
+
+    @given(storage_series, storage_series)
+    def test_eq_is_coefficientwise(self, a, b):
+        assert (a == b) == (a.coeffs == b.coeffs)
+        assert a == QSeries(a.coeffs)
+        # The same coefficients reached by another route compare equal.
+        n = min(a.order, b.order)
+        assert (a + b) - b == a.truncate(n)
+
+    def test_constructors(self):
+        assert_stores(QSeries([F(1, 2), F(1, 3), 0]), [F(1, 2), F(1, 3), F(0)])
+        assert_stores(QSeries([F(2, 4), "3/6", 1]), [F(1, 2), F(1, 2), F(1)])
+        assert_stores(QSeries.zero(3), [F(0)] * 4)
+        assert_stores(QSeries.constant(F(-6, 4), 2), [F(-3, 2), F(0), F(0)])
+        assert_stores(QSeries.monomial(F(5, 10), 2, 3), [0, 0, F(1, 2), 0])
+        assert_stores(QSeries.from_terms({1: F(1, 2), 3: F(1, 2), 9: 7}, 3), [0, F(1, 2), 0, F(1, 2)])
+        assert_stores(QSeries([F(1, 2), F(1, 2)]) + QSeries([F(1, 2), F(-1, 2)]), [1, 0])
+        assert_stores(QSeries([F(1, 6), 1]) * 3, [F(1, 2), 3])
+        assert_stores(QSeries([F(1, 2), 1]).truncate(0), [F(1, 2)])
+        assert_stores(QSeries([2, F(1, 2)]).truncate(0), [2])
+        assert_stores(QSeries([F(1, 2), 2]).qderiv(), [0, 2])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: eisenstein(2, 12),
+            lambda: eisenstein(3, 12),
+            lambda: divisor_like_sum(2, 5, 4, 12),
+            lambda: theta_series(1, 5, 20),
+            lambda: theta_deriv(1, 5, 2, 20),
+            lambda: krank_count_series(3, 1, 15),
+            lambda: rank_moment(3, 4, 15, "direct").series,
+            lambda: rank_moment(3, 4, 15, "combinatorial").series,
+            lambda: q_pochhammer(4, 12),
+            lambda: partition_series(12),
+            lambda: mock_eisenstein_family(3, 6, 12).member(6),
+        ],
+    )
+    def test_producers_store_lowest_terms(self, build):
+        series = build()
+        assert_stores(series, series.coeffs)
+
+    @given(storage_series)
+    @settings(deadline=None)
+    def test_inverse(self, a):
+        cs = a.coeffs
+        if cs[0] == 0:
+            with pytest.raises(ZeroConstantTermError):
+                a.inverse()
+            return
+        # The recurrence over Fractions, term by term.
+        expected = [1 / cs[0]]
+        for n in range(1, len(cs)):
+            expected.append(-sum(cs[k] * expected[n - k] for k in range(1, n + 1)) / cs[0])
+        assert_stores(a.inverse(), expected)
