@@ -9,42 +9,19 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional
 
-from . import functions as fn
-from . import mock
-from . import partitions as pt
-from . import verify
-from .bernoulli import bernoulli
 from .errors import ConfigError
-from .qseries import QSeries
 
-SUITE_CHOICES = ("all",) + tuple(verify.SUITES)
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    kind: Optional[str] = None
-    k: Optional[int] = None
-    j: Optional[int] = None
-    max_j: Optional[int] = None
-    max_n: Optional[int] = None
-    max_m: Optional[int] = None
-    order: Optional[int] = None
-    method: Optional[str] = None
-    route: Optional[str] = None
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    allow_k2: bool = False
-    suite: Optional[str] = None
+# The choices of the parser, spelled out so that building it imports no
+# computing module; the tests check them against the modules' own tuples.
+SUITE_CHOICES = ("all", "counts", "moments", "traces", "crank", "integrality", "pattern",
+                 "pde", "theta-ode")
+ROUTES = ("recursionA", "recursionB", "logRoute")
+RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 
 
-def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
+def _emit(chunks, out: str | None) -> None:
     """Write the chunks in turn, to the --out file or to stdout."""
     if out:
         with open(out, "w", encoding="ascii") as handle:
@@ -53,59 +30,63 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _frac_str(value: Fraction) -> str:
-    return str(value)
-
-
-def _check_k(config: JobConfig) -> None:
-    if config.k is None or config.k < 2:
+def _check_k(args: argparse.Namespace) -> None:
+    if args.k is None or args.k < 2:
         raise ConfigError("--k must be an integer >= 2")
-    if config.k == 2 and not config.allow_k2:
+    if args.k == 2 and not args.allow_k2:
         raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
 
 
-def _family_member(config: JobConfig) -> QSeries:
-    if config.j is None or config.j < 1:
+def _family_member(args: argparse.Namespace):
+    from . import mock
+    from .qseries import QSeries
+
+    if args.j is None or args.j < 1:
         raise ConfigError("--j must be an integer >= 1")
-    if config.order is None or config.order < 1:
+    if args.order is None or args.order < 1:
         raise ConfigError("--order must be >= 1")
-    if config.j % 2:
-        return QSeries.zero(config.order)
+    if args.j % 2:
+        return QSeries.zero(args.order)
     family = mock.mock_eisenstein_family(
-        config.k, config.j, config.order, config.route, allow_k2=config.allow_k2
+        args.k, args.j, args.order, args.route, allow_k2=args.allow_k2
     )
-    return family.member(config.j)
+    return family.member(args.j)
 
 
-def cmd_f(config: JobConfig) -> int:
-    _check_k(config)
-    series = _family_member(config)
-    if config.fmt == "text":
-        _emit([str(series) + "\n"], config.out)
-    elif config.fmt == "json":
+def cmd_f(args: argparse.Namespace) -> int:
+    _check_k(args)
+    series = _family_member(args)
+    if args.fmt == "text":
+        _emit([str(series) + "\n"], args.out)
+    elif args.fmt == "json":
+        import json
+
         payload = {
             "object": "qseries",
-            "k": config.k,
-            "j": config.j,
-            "order": config.order,
-            "coefficients": [_frac_str(c) for c in series.coeffs],
+            "k": args.k,
+            "j": args.j,
+            "order": args.order,
+            "coefficients": list(map(str, series.coeffs)),
         }
-        if config.k == 2:
+        if args.k == 2:
             payload["extrapolated"] = True
-        _emit([json.dumps(payload) + "\n"], config.out)
-    elif config.fmt == "bfile":
-        shifted = series + bernoulli(config.j) / (2 * config.j)
-        n = mock.first_fractional(shifted)
+        _emit([json.dumps(payload) + "\n"], args.out)
+    elif args.fmt == "bfile":
+        from .bernoulli import bernoulli
+        from .mock import first_fractional
+
+        shifted = series + bernoulli(args.j) / (2 * args.j)
+        n = first_fractional(shifted)
         if n is not None:
             raise ConfigError(
                 "bfile export needs an integral series; "
                 f"coefficient of q^{n} is {shifted.coeff(n)}"
             )
         lines = "".join(f"{n} {c}\n" for n, c in enumerate(shifted.nums))
-        _emit([lines], config.out)
+        _emit([lines], args.out)
     else:
-        raise ConfigError(f"unknown format {config.fmt!r}")
-    if config.k == 2:
+        raise ConfigError(f"unknown format {args.fmt!r}")
+    if args.k == 2:
         print(
             "note: k = 2 output is extrapolated beyond the verified range k >= 3",
             file=sys.stderr,
@@ -113,128 +94,139 @@ def cmd_f(config: JobConfig) -> int:
     return 0
 
 
-def _table_nk(config: JobConfig) -> Iterator[str]:
+def _table_nk(args: argparse.Namespace):
     """The table as text chunks, one per m, so that only one m's rows are held.
 
     The text is a head, the cells of every (m, n) joined by a separator,
     and a tail: the csv lines, or ``json.dumps`` of the payload whose
     ``entries`` are the [m, n, count] lists.
     """
-    _check_k(config)
-    if config.max_m is None or config.max_n is None:
+    from .partitions import count_table
+
+    _check_k(args)
+    if args.max_m is None or args.max_n is None:
         raise ConfigError("table Nk needs --maxm and --maxn")
-    table = pt.count_table(config.k, config.max_m, config.max_n)
-    if config.fmt == "csv":
+    table = count_table(args.k, args.max_m, args.max_n)
+    if args.fmt == "csv":
         head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
     else:
+        import json
+
         payload = {
             "object": "count_table",
-            "k": config.k,
-            "max_abs_m": config.max_m,
-            "max_n": config.max_n,
+            "k": args.k,
+            "max_abs_m": args.max_m,
+            "max_n": args.max_n,
             "entries": [],
         }
         head = json.dumps(payload)[: -len("]}")]
         cell, sep, tail = "[{}, {}, {}]", ", ", "]}\n"
-    ns = range(config.max_n + 1)
+    ns = range(args.max_n + 1)
 
-    def chunks() -> Iterator[str]:
+    def chunks():
         yield head
-        for m in range(-config.max_m, config.max_m + 1):
+        for m in range(-args.max_m, args.max_m + 1):
             rows = sep.join(cell.format(m, n, table.count(m, n)) for n in ns)
-            yield rows if m == -config.max_m else sep + rows
+            yield rows if m == -args.max_m else sep + rows
         yield tail
 
     return chunks()
 
 
-def _table_moments(config: JobConfig):
-    _check_k(config)
-    if config.j is None or config.j < 0:
+def _table_moments(args: argparse.Namespace) -> str:
+    from . import functions as fn
+
+    _check_k(args)
+    if args.j is None or args.j < 0:
         raise ConfigError("table moments needs --j >= 0")
-    if config.order is None or config.order < 1:
+    if args.order is None or args.order < 1:
         raise ConfigError("--order must be >= 1")
-    if config.k < 3:
+    if args.k < 3:
         raise ConfigError("moment tables require k >= 3")
-    moment = fn.rank_moment(config.k, config.j, config.order, config.method or "direct")
-    if config.fmt == "csv":
+    moment = fn.rank_moment(args.k, args.j, args.order, args.method or "direct")
+    coefficients = list(map(str, moment.series.coeffs))
+    if args.fmt == "csv":
         lines = ["n,coefficient"]
-        lines.extend(
-            f"{n},{_frac_str(c)}" for n, c in enumerate(moment.series.coeffs)
-        )
+        lines.extend(f"{n},{c}" for n, c in enumerate(coefficients))
         return "\n".join(lines) + "\n"
+    import json
+
     payload = {
         "object": "moment_series",
-        "k": config.k,
-        "j": config.j,
-        "order": config.order,
+        "k": args.k,
+        "j": args.j,
+        "order": args.order,
         "method": moment.method,
-        "coefficients": [_frac_str(c) for c in moment.series.coeffs],
+        "coefficients": coefficients,
     }
     return json.dumps(payload) + "\n"
 
 
-def _table_traces(config: JobConfig):
-    _check_k(config)
-    if config.max_j is None or config.max_j < 0:
+def _table_traces(args: argparse.Namespace) -> str:
+    from . import mock
+
+    _check_k(args)
+    if args.max_j is None or args.max_j < 0:
         raise ConfigError("table traces needs --maxj >= 0")
-    if config.order is None or config.order < 1:
+    if args.order is None or args.order < 1:
         raise ConfigError("--order must be >= 1")
     family = mock.mock_eisenstein_family(
-        config.k,
-        max(2, config.max_j + (config.max_j % 2)),
-        config.order,
-        config.route,
-        allow_k2=config.allow_k2,
+        args.k,
+        max(2, args.max_j + (args.max_j % 2)),
+        args.order,
+        args.route,
+        allow_k2=args.allow_k2,
     )
     traces = {
-        j: mock.partition_trace(j, family.member, config.order, "phi")
-        for j in range(config.max_j + 1)
+        j: list(map(str, mock.partition_trace(j, family.member, args.order, "phi").coeffs))
+        for j in range(args.max_j + 1)
     }
-    if config.fmt == "csv":
+    if args.fmt == "csv":
         lines = ["j,n,coefficient"]
-        for j in range(config.max_j + 1):
-            lines.extend(
-                f"{j},{n},{_frac_str(c)}" for n, c in enumerate(traces[j].coeffs)
-            )
+        for j, coefficients in traces.items():
+            lines.extend(f"{j},{n},{c}" for n, c in enumerate(coefficients))
         return "\n".join(lines) + "\n"
+    import json
+
     payload = {
         "object": "trace_table",
-        "k": config.k,
-        "max_j": config.max_j,
-        "order": config.order,
-        "traces": {str(j): [_frac_str(c) for c in traces[j].coeffs] for j in traces},
+        "k": args.k,
+        "max_j": args.max_j,
+        "order": args.order,
+        "traces": {str(j): coefficients for j, coefficients in traces.items()},
     }
     return json.dumps(payload) + "\n"
 
 
-def cmd_table(config: JobConfig) -> int:
-    if config.kind == "Nk":
-        chunks = _table_nk(config)
-    elif config.kind == "moments":
-        chunks = [_table_moments(config)]
-    elif config.kind == "traces":
-        chunks = [_table_traces(config)]
+def cmd_table(args: argparse.Namespace) -> int:
+    if args.kind == "Nk":
+        chunks = _table_nk(args)
+    elif args.kind == "moments":
+        chunks = [_table_moments(args)]
+    elif args.kind == "traces":
+        chunks = [_table_traces(args)]
     else:
-        raise ConfigError(f"unknown table kind {config.kind!r}")
-    _emit(chunks, config.out)
+        raise ConfigError(f"unknown table kind {args.kind!r}")
+    _emit(chunks, args.out)
     return 0
 
 
-def cmd_verify(config: JobConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     flags = {
-        "--k": (config.k,) if config.k is not None else None,
-        "--maxj": config.max_j,
-        "--maxn": config.max_n,
-        "--maxm": config.max_m,
-        "--order": config.order,
+        "--k": (args.k,) if args.k is not None else None,
+        "--maxj": args.max_j,
+        "--maxn": args.max_n,
+        "--maxm": args.max_m,
+        "--order": args.order,
     }
-    if config.suite not in SUITE_CHOICES:
-        raise ConfigError(f"unknown suite {config.suite!r}")
+    if args.suite not in SUITE_CHOICES:
+        raise ConfigError(f"unknown suite {args.suite!r}")
     total = failed = 0
     # Each suite's lines are printed as it finishes, so an error in a later
     # suite (exit 2) does not discard the results already computed.
-    for results in verify.iter_suites(config.suite, flags):
+    for results in verify.iter_suites(args.suite, flags):
         for result in results:
             status = "PASS" if result.passed else "FAIL"
             line = f"{status} {result.name}"
@@ -259,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     f_parser.add_argument("--k", type=int, required=True)
     f_parser.add_argument("--j", type=int, required=True)
     f_parser.add_argument("--order", type=int, default=30)
-    f_parser.add_argument("--route", choices=mock.ROUTES, default="recursionA")
+    f_parser.add_argument("--route", choices=ROUTES, default="recursionA")
     f_parser.add_argument("--format", dest="fmt", choices=("text", "json", "bfile"),
                           default="text")
     f_parser.add_argument("--out", default=None)
@@ -273,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     t_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
     t_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
     t_parser.add_argument("--order", type=int, default=30)
-    t_parser.add_argument("--method", choices=fn.RANK_METHODS, default=None)
-    t_parser.add_argument("--route", choices=mock.ROUTES, default="recursionA")
+    t_parser.add_argument("--method", choices=RANK_METHODS, default=None)
+    t_parser.add_argument("--route", choices=ROUTES, default="recursionA")
     t_parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
                           default="csv")
     t_parser.add_argument("--out", default=None)
@@ -290,32 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    return JobConfig(
-        command=args.command,
-        kind=getattr(args, "kind", None),
-        k=getattr(args, "k", None),
-        j=getattr(args, "j", None),
-        max_j=getattr(args, "max_j", None),
-        max_n=getattr(args, "max_n", None),
-        max_m=getattr(args, "max_m", None),
-        order=getattr(args, "order", None),
-        method=getattr(args, "method", None),
-        route=getattr(args, "route", None),
-        fmt=getattr(args, "fmt", None),
-        out=getattr(args, "out", None),
-        allow_k2=getattr(args, "allow_k2", False),
-        suite=getattr(args, "suite", None),
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     handlers = {"f": cmd_f, "table": cmd_table, "verify": cmd_verify}
     try:
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

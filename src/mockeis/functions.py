@@ -7,7 +7,7 @@ explicit order, with exact rational coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt
@@ -147,14 +147,10 @@ def krank_count_series(k: int, m: int, order: int) -> QSeries:
     return QSeries._of(numer) * partition_series(order)
 
 
-@dataclass(frozen=True)
-class MomentSeries:
+class MomentSeries(namedtuple("MomentSeries", "k j series method")):
     """A rank or crank moment with the construction route recorded."""
 
-    k: int
-    j: int
-    series: QSeries
-    method: str
+    __slots__ = ()
 
 
 def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:

@@ -25,13 +25,12 @@ Partition traces use the weights
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import functions as fn
 from .bernoulli import bernoulli
@@ -99,23 +98,24 @@ def eisenstein_members(order: int) -> Members:
     return member
 
 
-@dataclass(frozen=True)
-class MockFamily:
+class MockFamily(namedtuple("MockFamily", "k max_j order route extrapolated members")):
     """Members f_{k,j} for even j <= max_j at a common truncation order.
 
     ``members`` is a read-only copy of the mapping passed in: families are
     cached, so a caller must not be able to change one another caller sees.
     """
 
-    k: int
-    max_j: int
-    order: int
-    route: str
-    extrapolated: bool
-    members: Mapping[int, QSeries] = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
+    def __new__(cls, k, max_j, order, route, extrapolated, members):
+        members = MappingProxyType(dict(members))
+        return super().__new__(cls, k, max_j, order, route, extrapolated, members)
+
+    def __repr__(self) -> str:
+        return (
+            f"MockFamily(k={self.k!r}, max_j={self.max_j!r}, order={self.order!r}, "
+            f"route={self.route!r}, extrapolated={self.extrapolated!r})"
+        )
 
     def member(self, j: int) -> QSeries:
         if j < 1 or j > self.max_j:
@@ -274,12 +274,10 @@ def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
     return _trace_residuals(moments, eisenstein_members(order), order)
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
-    ok: bool
-    j: Optional[int] = None
-    n: Optional[int] = None
-    value: Optional[Fraction] = None
+class IntegralityReport(
+    namedtuple("IntegralityReport", "ok j n value", defaults=(None, None, None))
+):
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.ok:
@@ -305,10 +303,8 @@ def first_fractional(series: QSeries) -> Optional[int]:
     return next(n for n, c in enumerate(series.nums) if c % series.den)
 
 
-@dataclass(frozen=True)
-class PatternReport:
-    ok: bool
-    detail: str = ""
+class PatternReport(namedtuple("PatternReport", "ok detail", defaults=("",))):
+    __slots__ = ()
 
 
 def leading_pattern_check(

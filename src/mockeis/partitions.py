@@ -20,15 +20,15 @@ N_k(., n-1) shifted by one plus the k-ranks of the partitions new at n.
 :func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
 only read those histograms; ``crank``, ``rank``, ``k_rank``,
 ``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
-tested against.  ``table Nk`` at the ceiling takes about 0.3 s cold.
+tested against.  ``table Nk`` at the ceiling takes about 0.25-0.3 s cold.
 """
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import Counter, namedtuple
+from functools import lru_cache, wraps
 from itertools import chain, islice, repeat
 from typing import Dict, Iterable, Iterator, Tuple
 
@@ -37,10 +37,32 @@ from .errors import ConventionCaseError, WindowTooLargeError
 Partition = Tuple[int, ...]
 
 #: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
-#: --maxm 6 --maxn 40`` takes about 0.3 s as a cold CLI process (median
-#: 0.30 s for k = 3 over 76 runs and 0.33 s for k = 5 over 73 in BENCH_4.json,
+#: --maxm 6 --maxn 40`` takes about 0.25-0.3 s as a cold CLI process (median
+#: 0.24 s for k = 3 over 63 runs and 0.30 s for k = 5 over 64 in BENCH_6.json,
 #: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host speed).
 PARTITION_CEILING = 40
+
+
+def _without_gc(func):
+    """``func`` with the cyclic GC suspended while it runs.
+
+    Enumeration allocates hundreds of thousands of tuples, none of them in
+    a cycle, and with the GC on every young collection traverses the
+    growing result tuple again.  The caller's GC state is restored however
+    ``func`` ends, so nested calls leave it as the outermost caller had it.
+    """
+
+    @wraps(func)
+    def run(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return run
 
 
 def _partitions_led_by(p: int, n: int) -> Iterator[Partition]:
@@ -51,6 +73,7 @@ def _partitions_led_by(p: int, n: int) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=None)
+@_without_gc
 def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographically, each exactly once."""
     if n < 0:
@@ -183,6 +206,7 @@ def _k_rank_counts(parts: Iterable[Partition], k: int, fresh=False) -> Dict[int,
 
 
 @lru_cache(maxsize=None)
+@_without_gc
 def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     """The nonzero N_k(m, n) as sorted (m, count) pairs, conventions applied.
 
@@ -216,18 +240,18 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "k max_abs_m max_n entries")):
     """N_k(m, n) over the rectangle |m| <= max_abs_m, 0 <= n <= max_n.
 
-    ``entries`` holds the nonzero counts only: an absent pair inside the
-    window counts 0, and reading a pair outside the window raises KeyError.
+    ``entries`` maps (m, n) to the nonzero counts only: an absent pair inside
+    the window counts 0, and reading a pair outside the window raises KeyError.
     """
 
-    k: int
-    max_abs_m: int
-    max_n: int
-    entries: Dict[Tuple[int, int], int] = field(repr=False)
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = f"k={self.k!r}, max_abs_m={self.max_abs_m!r}, max_n={self.max_n!r}"
+        return f"CountTable({fields})"
 
     def count(self, m: int, n: int) -> int:
         if not self.in_window(m, n):

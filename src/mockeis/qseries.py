@@ -58,10 +58,13 @@ def _ratio(value) -> Tuple[int, int]:
 
 
 def _pack(values: tuple, width: int) -> int:
-    """sum_i values[i] * 256^(width * i), for |values[i]| < 256^width."""
-    pos = b"".join((v if v > 0 else 0).to_bytes(width, "little") for v in values)
-    neg = b"".join((-v if v < 0 else 0).to_bytes(width, "little") for v in values)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i values[i] * 256^(width * i), for |values[i]| < 256^width / 2."""
+    raw = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    packed = int.from_bytes(raw, "little")
+    # A negative slot reads as v + 256^width and has its top bit set: that
+    # bit, moved one place up, is the unit to take back off the slot above.
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
+    return packed - ((packed & top) << 1)
 
 
 def _kronecker_product(a: tuple, b: tuple) -> tuple:

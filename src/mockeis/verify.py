@@ -8,7 +8,7 @@ offender.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -23,11 +23,8 @@ from .wjets import WJet
 DEFAULT_KS = (3, 4, 5)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
+    __slots__ = ()
 
 
 def _first_nonzero(residual) -> Optional[Tuple[Optional[int], int, Fraction]]:

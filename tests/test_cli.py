@@ -2,12 +2,18 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import mockeis
 import mockeis.functions
-from mockeis import verify
+from mockeis import cli, mock, verify
 from mockeis.cli import main
 from mockeis.partitions import count_table
 from mockeis.qseries import QSeries
@@ -305,3 +311,82 @@ class TestVerifyCommand:
         jet = WJet(-2, [zero, zero, QSeries([0, F(1, 3), 0, 0])])
         assert verify._zero_check("w", jet).detail == "w^0 q^1: residual 1/3"
         assert verify._zero_check("w", WJet(-2, [zero, zero])).passed
+
+
+SRC = str(Path(mockeis.__file__).resolve().parents[1])
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+
+
+def loaded_by(*argv):
+    """The modules that ``python -m mockeis argv`` loads beyond interpreter start-up."""
+    script = (
+        "import runpy, sys\n"
+        "before = set(sys.modules)\n"
+        f"sys.argv = ['mockeis', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('mockeis', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code\n"
+        "print(' '.join(set(sys.modules) - before), file=sys.stderr)\n"
+    )
+    return set(run_python(script).stderr.split())
+
+
+class TestImportScope:
+    def test_f_loads_neither_verify_pde_nor_dataclasses(self):
+        loaded = loaded_by("f", "--k", "3", "--j", "2", "--order", "1")
+        assert "mockeis.mock" in loaded
+        assert not {"mockeis.verify", "mockeis.pde", "dataclasses", "json"} & loaded
+
+    def test_nk_csv_loads_no_series_module(self):
+        loaded = loaded_by("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "5",
+                           "--format", "csv")
+        assert "mockeis.partitions" in loaded
+        assert not {"mockeis.qseries", "mockeis.functions", "json"} & loaded
+
+    def test_parser_choices_match_the_modules(self):
+        assert cli.SUITE_CHOICES == ("all",) + tuple(verify.SUITES)
+        assert cli.ROUTES == mock.ROUTES
+        assert cli.RANK_METHODS == mockeis.functions.RANK_METHODS
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves(self):
+        listed = dir(mockeis)
+        for name in mockeis.__all__:
+            value = getattr(mockeis, name)
+            assert not isinstance(value, ModuleType), name
+            assert name in listed
+            home = getattr(value, "__module__", None)
+            if home is not None:
+                assert getattr(sys.modules[home], name) is value
+        assert callable(mockeis.bernoulli)
+        assert mockeis.PARTITION_CEILING == 40
+
+    def test_names_load_their_module_on_first_use(self):
+        run_python(
+            "import sys, mockeis\n"
+            "assert 'mockeis.qseries' not in sys.modules\n"
+            "from mockeis import QSeries\n"
+            "assert QSeries is sys.modules['mockeis.qseries'].QSeries\n"
+            "assert 'mockeis.functions' not in sys.modules\n"
+            "import mockeis.functions\n"
+            "from mockeis import bernoulli\n"
+            "assert bernoulli(2) == mockeis.bernoulli(2) == mockeis.bernoulli_poly(2, 0)\n"
+            "assert mockeis.functions is sys.modules['mockeis.functions']\n"
+            "assert 'mockeis.verify' not in sys.modules\n"
+            "from mockeis import verify\n"
+            "assert verify is sys.modules['mockeis.verify']\n"
+        )
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            mockeis.no_such_name

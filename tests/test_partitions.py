@@ -1,6 +1,7 @@
 """Partition statistics: enumeration, Durfee squares, crank, k-ranks,
 and the brute-force count tables with their conventions."""
 
+import gc
 from collections import Counter
 
 import pytest
@@ -247,3 +248,47 @@ class TestStatisticHistogram:
             statistic_histogram(3, -1)
         with pytest.raises(ValueError):
             statistic_histogram(0, 5)
+
+
+class TestGarbageCollectorState:
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        partitions_of.cache_clear()
+        statistic_histogram.cache_clear()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_enumeration_leaves_the_callers_state(self, gc_state):
+        assert len(partitions_of(20)) == 627
+        assert gc.isenabled() is gc_state
+        statistic_histogram(3, 20)
+        statistic_histogram(1, 6)
+        assert gc.isenabled() is gc_state
+
+    def test_a_raising_call_leaves_the_callers_state(self, gc_state):
+        for call, error in [
+            (lambda: partitions_of(-1), ValueError),
+            (lambda: statistic_histogram(3, -1), ValueError),
+            (lambda: statistic_histogram(3, PARTITION_CEILING + 1), WindowTooLargeError),
+            (lambda: statistic_histogram(0, 5), ValueError),
+        ]:
+            with pytest.raises(error):
+                call()
+            assert gc.isenabled() is gc_state
+
+    def test_no_collection_runs_during_a_cold_build(self, gc_state):
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(record)
+        try:
+            partitions_of(30)
+            statistic_histogram(4, 30)
+        finally:
+            gc.callbacks.remove(record)
+        assert starts == []
