@@ -3,11 +3,14 @@
 Conventions: B_1 = -1/2, B_j = 0 for odd j >= 3.  The polynomial values
 come from B_j(x) = sum_n binom(j, n) B_{j-n} x^n, the x = 0 base case of
 the addition formula B_j(x + y) = sum_n binom(j, n) B_{j-n}(x) y^n.
+
+The package imports this module at start-up, so ``fractions`` (and with it
+``decimal``) is imported inside the functions, on their first call: a
+command that never asks for a Bernoulli number does not load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -15,6 +18,8 @@ from math import comb
 @lru_cache(maxsize=None)
 def bernoulli(j: int) -> Fraction:
     """The j-th Bernoulli number."""
+    from fractions import Fraction
+
     if j < 0:
         raise ValueError("Bernoulli index must be non-negative")
     if j == 0:
@@ -30,6 +35,8 @@ def bernoulli(j: int) -> Fraction:
 
 def bernoulli_poly(j: int, x) -> Fraction:
     """Value of the j-th Bernoulli polynomial at the exact rational x."""
+    from fractions import Fraction
+
     if j < 0:
         raise ValueError("Bernoulli index must be non-negative")
     x = Fraction(x)

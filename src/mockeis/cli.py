@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, WindowTooLargeError
 
 # The choices of the parser, spelled out so that building it imports no
 # computing module; the tests check them against the modules' own tuples.
@@ -164,10 +164,16 @@ def _table_moments(args: argparse.Namespace) -> str:
 
 def _table_traces(args: argparse.Namespace) -> str:
     from . import mock
+    from .partitions import PARTITION_CEILING
 
     _check_k(args)
     if args.max_j is None or args.max_j < 0:
         raise ConfigError("table traces needs --maxj >= 0")
+    if args.max_j > PARTITION_CEILING:
+        # Tr_j sums over the partitions of j; fail before building the family.
+        raise WindowTooLargeError(
+            f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
+        )
     if args.order is None or args.order < 1:
         raise ConfigError("--order must be >= 1")
     family = mock.mock_eisenstein_family(

@@ -15,12 +15,16 @@ The n = 1 crank convention lives here in the counting code; the crank
 statistic itself refuses the partition (1).
 
 Every count is read from the cached :func:`statistic_histogram`: one walk
-of ``partitions_of(n)`` for the crank and the rank, and for k >= 3
-N_k(., n-1) shifted by one plus the k-ranks of the partitions new at n.
+of ``partitions_of(n)`` for the crank and the rank.  For k >= 3 it is
+1-free partitions plus a closed form for the ones-tails: N_k(., n-1)
+shifted by one, plus what the partitions of n with no part 1 and, through
+their ones-tails, those of n-1 .. n-k+2 contribute, read from a cached
+tally that walks each 1-free partition's Durfee squares once.
 :func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
 only read those histograms; ``crank``, ``rank``, ``k_rank``,
 ``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
-tested against.  ``table Nk`` at the ceiling takes about 0.25-0.3 s cold.
+tested against, and ``_k_rank_counts`` is the full-scan reference for the
+k-rank histograms.  ``table Nk`` at the ceiling takes about 0.19-0.2 s cold.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .errors import ConventionCaseError, WindowTooLargeError
 Partition = Tuple[int, ...]
 
 #: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
-#: --maxm 6 --maxn 40`` takes about 0.25-0.3 s as a cold CLI process (median
-#: 0.24 s for k = 3 over 63 runs and 0.30 s for k = 5 over 64 in BENCH_6.json,
-#: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host speed).
+#: --maxm 6 --maxn 40`` takes about 0.19-0.2 s as a cold CLI process
+#: (medians 0.19 s for k = 3 and 0.20 s for k = 5 over 77 runs each in
+#: BENCH_7.json, Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's
+#: reference host speed).  ``partitions_of`` refuses any n above it.
 PARTITION_CEILING = 40
 
 
@@ -78,6 +83,11 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
     """All partitions of n, reverse-lexicographically, each exactly once."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
+    if n > PARTITION_CEILING:
+        raise WindowTooLargeError(
+            f"cannot enumerate the partitions of n = {n}: above the enumeration "
+            f"ceiling {PARTITION_CEILING}"
+        )
     if n == 0:
         return ((),)
     # (n,), then the blocks led by n-1 .. 1, with no intermediate list.
@@ -207,6 +217,50 @@ def _k_rank_counts(parts: Iterable[Partition], k: int, fresh=False) -> Dict[int,
 
 @lru_cache(maxsize=None)
 @_without_gc
+def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """What the 1-free partitions of n (no part equal to 1) add to N_k, k >= 3.
+
+    Entry 0 tallies the k-ranks of those with at least k-1 successive
+    Durfee squares.  Entry s, for 1 <= s <= k-2, tallies mu[0] - mu[1] over
+    those with exactly s squares, mu[1] read as 1 when mu has one part;
+    trailing empty entries are dropped.  An entry is the pair (sorted
+    values, their counts), or () when empty: up to the ceiling these take
+    36 KB for k = 3 (sys.getsizeof), against 99 KB as one (value, count)
+    tuple per value.  Each partition's squares are walked once, at most
+    k-1 of them.  The cache holds at most PARTITION_CEILING entries per k.
+    """
+    last = k - 1
+    ranks: Dict[int, int] = {}
+    tails: Dict[int, Dict[int, int]] = {}
+    for mu in partitions_of(n):
+        if mu[-1] == 1:
+            continue
+        size = len(mu)
+        # Every row is at least 2 long, so each square is at least 1.
+        pos = 1
+        while pos < size and mu[pos] > pos:
+            pos += 1
+        squares = 1
+        while pos < size and squares < last:
+            d = 1
+            while pos + d < size and mu[pos + d] > d:
+                d += 1
+            pos += d
+            squares += 1
+        if squares == last:  # k >= 3, so the loop above ran and set d
+            # As in _k_rank_counts: d = d_{k-1} and rows 0..pos-1 are covered.
+            m = mu[0] - mu[d] - (size - pos)
+            ranks[m] = ranks.get(m, 0) + 1
+        else:
+            tail = tails.setdefault(squares, {})
+            v = mu[0] - (mu[1] if size > 1 else 1)
+            tail[v] = tail.get(v, 0) + 1
+    entries = [ranks, *(tails.get(s, {}) for s in range(1, max(tails, default=0) + 1))]
+    return tuple(tuple(zip(*sorted(counts.items()))) for counts in entries)
+
+
+@lru_cache(maxsize=None)
+@_without_gc
 def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     """The nonzero N_k(m, n) as sorted (m, count) pairs, conventions applied.
 
@@ -226,15 +280,23 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     elif n == 0:
         counts = {}  # N_2(0,0) = 0 and N_k(m,0) = 0 for k >= 3
     elif k >= 3:
-        # Appending a part 1 keeps every Durfee square and adds a unit square
-        # below them.  If lam has at least k-1 squares, d_1, d_{k-1} and the
-        # columns right of the first square stay, and one more part lies
-        # below the (k-1)-th square: k-rank(lam + (1,)) = k-rank(lam) - 1.
-        # That gives N_k(., n-1) shifted by -1.  New at n are the 1-free
-        # partitions with at least k-1 squares and those ending in 1 with
-        # exactly k-1, among them 1^(k-1).
+        # Every partition of n is a 1-free mu plus r parts 1, and each part 1
+        # appended keeps every Durfee square and adds a unit square below
+        # them.  If lam has at least k-1 squares, d_1, d_{k-1} and the columns
+        # right of the first square stay, and one more part lies below the
+        # (k-1)-th square: k-rank(lam + (1,)) = k-rank(lam) - 1.  That gives
+        # N_k(., n-1) shifted by -1.  New at n are the 1-free partitions with
+        # at least k-1 squares, and mu + 1^r for a 1-free mu of n-r with
+        # exactly s = k-1-r squares: its last square is a unit one, so its
+        # k-rank is mu[0] - mu[1] (mu[1] read as 1), and that of 1^(k-1) is 0.
         counts = Counter({m - 1: c for m, c in statistic_histogram(k, n - 1)})
-        counts.update(_k_rank_counts(partitions_of(n), k, fresh=True))
+        counts.update(dict(zip(*_one_free_tally(k, n)[0])))
+        for r in range(1, min(k - 1, n - 1)):  # 1-free partitions start at 2
+            tally = _one_free_tally(k, n - r)
+            if k - 1 - r < len(tally):
+                counts.update(dict(zip(*tally[k - 1 - r])))
+        if n == k - 1:
+            counts[0] += 1
     else:
         counts = Counter(map(crank if k == 1 else rank, partitions_of(n)))
     return tuple(sorted(counts.items()))

@@ -156,6 +156,13 @@ class TestTableCommand:
         assert code == 2
         assert "ceiling" in err
 
+    def test_traces_above_the_ceiling_exit_code(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "traces", "--k", "3", "--maxj", "41", "--order", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "ceiling 40" in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1)])
     def test_nk_streams_the_bytes_of_the_whole_text(self, capsys, tmp_path, fmt, k, max_m, max_n):
@@ -351,6 +358,12 @@ class TestImportScope:
                            "--format", "csv")
         assert "mockeis.partitions" in loaded
         assert not {"mockeis.qseries", "mockeis.functions", "json"} & loaded
+
+    def test_nk_csv_loads_neither_fractions_nor_decimal(self):
+        loaded = loaded_by("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "5",
+                           "--format", "csv")
+        assert "mockeis.bernoulli" in loaded
+        assert not {"fractions", "decimal"} & loaded
 
     def test_parser_choices_match_the_modules(self):
         assert cli.SUITE_CHOICES == ("all",) + tuple(verify.SUITES)

@@ -5,7 +5,7 @@ import gc
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from mockeis.errors import ConventionCaseError, WindowTooLargeError
@@ -13,6 +13,7 @@ from mockeis.functions import rank_moment
 from mockeis.partitions import (
     PARTITION_CEILING,
     _k_rank_counts,
+    _one_free_tally,
     count_table,
     crank,
     durfee_sizes,
@@ -24,6 +25,12 @@ from mockeis.partitions import (
 from tests.test_qseries import pentagonal_partition_counts
 
 partition_st = st.integers(0, 18).map(lambda n: partitions_of(n)).flatmap(st.sampled_from)
+one_free_st = (
+    st.integers(0, 18)
+    .map(lambda n: tuple(mu for mu in partitions_of(n) if 1 not in mu))
+    .filter(bool)
+    .flatmap(st.sampled_from)
+)
 
 
 class TestEnumeration:
@@ -55,6 +62,11 @@ class TestEnumeration:
 
         for n in range(26):
             assert partitions_of(n) == tuple(descending(n, n))
+
+    def test_ceiling(self):
+        with pytest.raises(WindowTooLargeError, match="n = 41.*ceiling 40"):
+            partitions_of(PARTITION_CEILING + 1)
+        assert len(partitions_of(PARTITION_CEILING)) == 37338
 
     @given(partition_st)
     def test_partitions_are_non_increasing(self, lam):
@@ -104,6 +116,16 @@ class TestAppendingAOne:
     def test_lowers_the_k_rank_by_one(self, lam, k):
         if len(durfee_sizes(lam)) >= k - 1:
             assert k_rank(lam + (1,), k) == k_rank(lam, k) - 1
+
+    @given(one_free_st, st.integers(1, 8))
+    def test_closed_form_of_a_ones_tail(self, mu, r):
+        # mu + 1^r with exactly k-1 squares has k-rank mu[0] - mu[1].
+        k = len(durfee_sizes(mu)) + 1 + r
+        assume(k >= 3)
+        lam = mu + (1,) * r
+        assert len(durfee_sizes(lam)) == k - 1
+        expected = mu[0] - (mu[1] if len(mu) > 1 else 1) if mu else 0
+        assert k_rank(lam, k) == expected
 
 
 class TestKRank:
@@ -209,11 +231,26 @@ class TestStatisticHistogram:
         for n in range(23):
             assert dict(statistic_histogram(k, n)) == reference_histogram(k, n)
 
-    @pytest.mark.parametrize("k", range(3, 8))
+    @pytest.mark.parametrize("k", [*range(3, 13), 20, 41, 42])
     def test_recurrence_at_the_ceiling(self, k):
-        # Forty shifts deep: the whole chain of N_k(., n-1) back to n = 0.
-        n = PARTITION_CEILING
-        assert dict(statistic_histogram(k, n)) == _k_rank_counts(partitions_of(n), k)
+        # The 1-free scan against the full scan at every n up to the ceiling,
+        # the last one forty shifts deep.  k = 41: only 1^40 has k-1 squares;
+        # k = 42: k-1 exceeds the squares of every partition there.
+        for n in range(PARTITION_CEILING + 1):
+            assert dict(statistic_histogram(k, n)) == _k_rank_counts(partitions_of(n), k)
+
+    def test_one_free_tally_is_immutable_and_bounded(self):
+        tally = _one_free_tally(3, 12)
+        assert type(tally) is tuple
+        for entry in tally:  # () or (sorted values, their counts)
+            assert type(entry) is tuple and len(entry) in (0, 2)
+            assert all(type(column) is tuple for column in entry)
+        assert _one_free_tally(3, 12) is tally
+        for k in (3, 5, 42):
+            _one_free_tally.cache_clear()
+            statistic_histogram.cache_clear()
+            count_table(k, 6, PARTITION_CEILING)
+            assert _one_free_tally.cache_info().currsize <= PARTITION_CEILING
 
     @given(partition_st, st.integers(3, 6))
     def test_single_pass_k_rank_matches_conjugate_route(self, lam, k):
@@ -257,6 +294,7 @@ class TestGarbageCollectorState:
         (gc.enable if request.param else gc.disable)()
         partitions_of.cache_clear()
         statistic_histogram.cache_clear()
+        _one_free_tally.cache_clear()
         yield request.param
         (gc.enable if was else gc.disable)()
 
@@ -270,6 +308,7 @@ class TestGarbageCollectorState:
     def test_a_raising_call_leaves_the_callers_state(self, gc_state):
         for call, error in [
             (lambda: partitions_of(-1), ValueError),
+            (lambda: partitions_of(PARTITION_CEILING + 1), WindowTooLargeError),
             (lambda: statistic_histogram(3, -1), ValueError),
             (lambda: statistic_histogram(3, PARTITION_CEILING + 1), WindowTooLargeError),
             (lambda: statistic_histogram(0, 5), ValueError),
@@ -289,6 +328,7 @@ class TestGarbageCollectorState:
         try:
             partitions_of(30)
             statistic_histogram(4, 30)
+            _one_free_tally(6, 30)
         finally:
             gc.callbacks.remove(record)
         assert starts == []
