@@ -34,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import functions as fn
 from .bernoulli import bernoulli
-from .errors import MissingMemberError
-from .partitions import partitions_of
+from .errors import MissingMemberError, WindowTooLargeError
+from .partitions import PARTITION_CEILING, partitions_of
 from .qseries import QSeries, partition_series
 from .wjets import build_jet, jet_log, rational_jet, two_sinh_half_over_w
 
@@ -207,6 +207,12 @@ def mock_eisenstein_family(
         raise ValueError("order must be >= 1")
     if route not in _ROUTE_BUILDERS:
         raise ValueError(f"unknown route {route!r}; choose one of {ROUTES}")
+    if route == "recursionB" and max_j - 2 > PARTITION_CEILING:
+        # Its last member traces the partitions of max_j - 2: fail before any work.
+        raise WindowTooLargeError(
+            f"--j {max_j} by recursionB traces the partitions of {max_j - 2}, above "
+            f"the enumeration ceiling {PARTITION_CEILING}"
+        )
     g = _g_sums(k, max_j, order)
     members = _ROUTE_BUILDERS[route](g, max_j, order)
     return MockFamily(

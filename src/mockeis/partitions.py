@@ -24,7 +24,7 @@ tally that walks each 1-free partition's Durfee squares once.
 only read those histograms; ``crank``, ``rank``, ``k_rank``,
 ``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
 tested against, and ``_k_rank_counts`` is the full-scan reference for the
-k-rank histograms.  ``table Nk`` at the ceiling takes about 0.19-0.2 s cold.
+k-rank histograms.  ``table Nk`` at the ceiling takes about 0.15 s cold.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .errors import ConventionCaseError, WindowTooLargeError
 Partition = Tuple[int, ...]
 
 #: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
-#: --maxm 6 --maxn 40`` takes about 0.19-0.2 s as a cold CLI process
-#: (medians 0.19 s for k = 3 and 0.20 s for k = 5 over 77 runs each in
-#: BENCH_7.json, Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's
-#: reference host speed).  ``partitions_of`` refuses any n above it.
+#: --maxm 6 --maxn 40`` takes about 0.15 s as a cold CLI process (medians
+#: 0.147 s for k = 3 and for k = 5 over 74 and 71 runs in BENCH_8.json,
+#: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host
+#: speed).  ``partitions_of`` refuses any n above it.
 PARTITION_CEILING = 40
 
 
@@ -55,6 +55,10 @@ def _without_gc(func):
     a cycle, and with the GC on every young collection traverses the
     growing result tuple again.  The caller's GC state is restored however
     ``func`` ends, so nested calls leave it as the outermost caller had it.
+    This is the library path: a caller that keeps the GC on still pays one
+    traversal of each new tuple in the collections after the call.  The
+    CLI process runs with the GC off (see ``cli.entrypoint``), where this
+    wrapper leaves it off and costs nothing.
     """
 
     @wraps(func)

@@ -1,5 +1,6 @@
 """Command-line harness: formats, exit codes, determinism, round-trips."""
 
+import gc
 import inspect
 import json
 import os
@@ -108,6 +109,21 @@ class TestFCommand:
         with pytest.raises(SystemExit) as exc:
             main(["f", "--j", "2"])  # --k missing
         assert exc.value.code == 2
+
+    def test_recursion_b_above_the_ceiling_fails_before_any_work(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the family was built before the ceiling check")
+
+        monkeypatch.setattr(mock, "_g_sums", unreachable)
+        monkeypatch.setattr(mock, "partition_trace", unreachable)
+        code, out, err = run_cli(
+            capsys, "f", "--k", "3", "--route", "recursionB", "--j", "44", "--order", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "--j 44" in err and "ceiling 40" in err
+        # At the ceiling the route starts work: its last trace is of the partitions of 40.
+        with pytest.raises(AssertionError):
+            mock.mock_eisenstein_family(3, 42, 2, "recursionB")
 
 
 class TestTableCommand:
@@ -403,3 +419,91 @@ class TestLazyPackage:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):
             mockeis.no_such_name
+
+
+def clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mockeis."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def cyclic_garbage(run):
+    """The objects a collection finds unreachable after ``run()`` with the GC off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# Every route and format of f, every table, every verify suite at small
+# sizes, and exit-2 paths: the shapes a CLI process runs with the GC off.
+COMMAND_SHAPES = [
+    *((f"f --k 3 --j 4 --order 10 --route {route} --format {fmt}", 0)
+      for route in cli.ROUTES for fmt in ("text", "json", "bfile")),
+    ("table Nk --k 3 --maxm 2 --maxn 12 --format csv", 0),
+    ("table Nk --k 5 --maxm 2 --maxn 12 --format json", 0),
+    ("table moments --k 3 --j 4 --order 12 --method combinatorial", 0),
+    ("table moments --k 4 --j 2 --order 12 --format json", 0),
+    ("table traces --k 3 --maxj 4 --order 8 --format json", 0),
+    ("verify --suite counts --k 3 --maxn 8 --maxm 2", 0),
+    ("verify --suite moments --k 3 --maxj 2 --order 8", 0),
+    ("verify --suite traces --k 3 --maxj 2 --order 8", 0),
+    ("verify --suite crank --maxj 2 --order 8", 0),
+    ("verify --suite integrality --k 3 --maxj 4 --order 10", 0),
+    ("verify --suite pattern --k 3 --maxj 4", 0),
+    ("verify --suite pde --order 4", 0),
+    ("verify --suite theta-ode --order 8", 0),
+    ("table Nk --k 3 --maxm 2 --maxn 50", 2),
+    ("verify --suite pde --k 3", 2),
+    ("f --k 3 --route recursionB --j 44 --order 2", 2),
+]
+
+
+class TestGarbageCollectorPolicy:
+    def test_a_cli_run_never_collects_and_exits_frozen(self):
+        # The package import is library code and leaves the GC alone; the
+        # policy holds from __main__ on.
+        script = (
+            "import gc, runpy, sys\n"
+            "import mockeis\n"
+            "gc.collect()\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "sys.argv = ['mockeis', 'table', 'Nk', '--k', '3', '--maxm', '2', '--maxn', '8']\n"
+            "try:\n"
+            "    runpy.run_module('mockeis', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    assert not exit.code\n"
+            "    print(len(starts), gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        assert run_python(script).stderr.split() == ["0", "False", "True"]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_main_leaves_the_callers_collector_as_found(self, capsys, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        try:
+            clear_caches()
+            code, _, _ = run_cli(capsys, "table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "8")
+            assert (code, gc.isenabled(), gc.get_freeze_count()) == (0, enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("command, code", COMMAND_SHAPES)
+    def test_a_command_leaves_no_more_cycles_than_its_parser(self, command, code):
+        # What keeps memory bounded in a CLI process, which never collects.
+        argv = command.split()
+        parser_only = cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+        clear_caches()
+        codes = []
+        found = cyclic_garbage(lambda: codes.append(main(argv)))
+        assert codes == [code]
+        assert found <= parser_only
