@@ -16,7 +16,7 @@ from . import partitions as pt
 from .bernoulli import bernoulli
 from .errors import FractionalExponentError, WindowTooLargeError
 from .qseries import QSeries, partition_series, q_pochhammer
-from .wjets import build_jet, jet_exp, rational_jet, two_sinh_half_over_w
+from .wjets import WJet, build_jet, jet_exp, rational_jet, two_sinh_half_over_w
 
 RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 CRANK_METHODS = ("combinatorial", "eisenstein")
@@ -227,15 +227,20 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSer
     return MomentSeries(k=k, j=j, series=series, method=method)
 
 
+def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
+    """exp(scale * sum_{k>=2} G_k w^k/k!) on [0, max_deg]."""
+    entries = {
+        k: eisenstein(k, q_order) * Fraction(scale, factorial(k))
+        for k in range(2, max_deg + 1, 2)
+    }
+    return jet_exp(build_jet(entries, 2, max_deg, q_order))
+
+
 def _crank_moment_eisenstein(j: int, order: int) -> QSeries:
     # C(zeta, q) = sin(pi z)/(pi z (q)_inf) * exp(2 sum_k G_k w^k/k!) read
     # off at w^j, all in w = 2*pi*i*z coordinates.
     top = max(2, j)
-    entries = {
-        k: eisenstein(k, order) * Fraction(2, factorial(k))
-        for k in range(2, top + 1, 2)
-    }
-    expo = jet_exp(build_jet(entries, 2, top, order))
+    expo = eisenstein_exponential(2, top, order)
     sinc = rational_jet(two_sinh_half_over_w(top), order)
     total = (sinc * expo).scale(partition_series(order))
     return total.coeff(j) * factorial(j)
@@ -265,67 +270,12 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSer
 #     q^{n_1^2 + ... + n_{k-1}^2}
 #     / ((q)_{n_{k-1}-n_{k-2}} ... (q)_{n_2-n_1} (zeta q)_{n_1} (zeta^{-1} q)_{n_1})
 #
-# expanded with Laurent-polynomial-in-zeta coefficients per power of q.
-# The zeta window is never truncated during the computation (powers of
-# zeta are bounded by the q-power, so nothing can escape and re-enter);
-# out-of-window powers are dropped only at the final read-out.
-
-
-def _zseries_mul(a, b, order):
-    out = [dict() for _ in range(order + 1)]
-    for n1, d1 in enumerate(a):
-        if not d1:
-            continue
-        for n2 in range(order + 1 - n1):
-            d2 = b[n2]
-            if not d2:
-                continue
-            tgt = out[n1 + n2]
-            for m1, c1 in d1.items():
-                for m2, c2 in d2.items():
-                    key = m1 + m2
-                    val = tgt.get(key, 0) + c1 * c2
-                    if val:
-                        tgt[key] = val
-                    elif key in tgt:
-                        del tgt[key]
-    return out
-
-
-def _zseries_inv(a, order):
-    # requires a[0] == {0: 1}
-    inv = [dict() for _ in range(order + 1)]
-    inv[0] = {0: 1}
-    for n in range(1, order + 1):
-        acc = {}
-        for i in range(1, n + 1):
-            if not a[i]:
-                continue
-            for m1, c1 in a[i].items():
-                for m2, c2 in inv[n - i].items():
-                    acc[m1 + m2] = acc.get(m1 + m2, 0) - c1 * c2
-        inv[n] = {m: c for m, c in acc.items() if c}
-    return inv
-
-
-def _zeta_pochhammer(length: int, order: int):
-    """(zeta q)_length (zeta^{-1} q)_length as a zeta-Laurent q-polynomial."""
-    cur = [dict() for _ in range(order + 1)]
-    cur[0] = {0: 1}
-    for i in range(1, length + 1):
-        for s in (1, -1):
-            nxt = [dict(layer) for layer in cur]
-            for n in range(order - i + 1):
-                for m, c in cur[n].items():
-                    key = m + s
-                    tgt = nxt[n + i]
-                    val = tgt.get(key, 0) - c
-                    if val:
-                        tgt[key] = val
-                    elif key in tgt:
-                        del tgt[key]
-            cur = nxt
-    return cur
+# has N_k(m, n) as its coefficient of zeta^m q^n.  By the q-binomial theorem
+# (Andrews, The Theory of Partitions, 1976, Thm 3.3), 1/(zeta q)_n is
+# sum_{a>=0} z_a zeta^a with z_a = q^a [n+a-1, a]_q, so the zeta^m
+# coefficient of 1/((zeta q)_n (zeta^{-1} q)_n) is sum_b z_{b+m} z_b.  Its
+# summands start at q^{2b+m}, so b stops at 2b + m <= order; and it is even
+# in m, so only 0 <= m <= max_abs_m is computed and then mirrored.
 
 
 def _ascending_tuples(count: int, minimum: int, budget: int):
@@ -345,7 +295,7 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
         raise ValueError("the multisum oracle requires k >= 3")
     if max_abs_m < 0 or order < 0:
         raise ValueError("window bounds must be non-negative")
-    table = [dict() for _ in range(order + 1)]
+    entries = {}
     for tup in _ascending_tuples(k - 1, 1, order):
         base = sum(v * v for v in tup)
         rem = order - base
@@ -354,17 +304,21 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
         for lo, hi in zip(tup, tup[1:]):
             if hi > lo:
                 purq = purq * q_pochhammer(hi - lo, rem).inverse()
-        zfac = _zseries_inv(_zeta_pochhammer(tup[0], rem), rem)
-        diag = [({0: c} if c else {}) for c in purq.nums]
-        prod = _zseries_mul(diag, zfac, rem)
-        for n_off, layer in enumerate(prod):
-            tgt = table[base + n_off]
-            for m, c in layer.items():
-                tgt[m] = tgt.get(m, 0) + c
-    entries = {
-        (m, n): c
-        for n, layer in enumerate(table)
-        for m, c in layer.items()
-        if c and abs(m) <= max_abs_m
-    }
+        # z[a] for a <= rem: fold in 1/(1 - zeta q^i) for i = 1..n_1, each row
+        # gaining q^i times the row below it, which is already folded.
+        rows = [[1] + [0] * rem] + [[0] * (rem + 1) for _ in range(rem)]
+        for i in range(1, tup[0] + 1):
+            for below, row in zip(rows, rows[1:]):
+                for j in range(i, rem + 1):
+                    row[j] += below[j - i]
+        z = [QSeries._of(row) for row in rows]
+        for m in range(min(max_abs_m, rem) + 1):
+            zeta_m = sum(
+                (z[b + m] * z[b] for b in range((rem - m) // 2 + 1)), QSeries.zero(rem)
+            )
+            # Every factor has non-negative coefficients, so no count cancels.
+            for n, c in enumerate((purq * zeta_m).nums, base):
+                if c:
+                    for key in {(m, n), (-m, n)}:
+                        entries[key] = entries.get(key, 0) + c
     return pt.CountTable(k=k, max_abs_m=max_abs_m, max_n=order, entries=entries)

@@ -180,19 +180,14 @@ def k_rank(parts: Partition, k: int) -> int:
     return right - below
 
 
-def _k_rank_counts(parts: Iterable[Partition], k: int, fresh=False) -> Dict[int, int]:
+def _k_rank_counts(parts: Iterable[Partition], k: int) -> Dict[int, int]:
     """k-rank counts (k >= 3) over ``parts``, one pass per partition.
 
     Partitions with fewer than k-1 successive Durfee squares are skipped.
-    With ``fresh``, so are those ending in a part 1 with more than k-1
-    squares: they are lam + (1,) for a lam with at least k-1 squares.
     """
     counts: Dict[int, int] = {}
     for lam in parts:
         size = len(lam)
-        ends_in_one = fresh and lam[-1] == 1
-        if ends_in_one and size >= k and lam[size - k + 1] == 1:
-            continue  # k-1 trailing ones below other rows: k or more squares
         d1 = 0
         while d1 < size and lam[d1] > d1:
             d1 += 1
@@ -212,8 +207,6 @@ def _k_rank_counts(parts: Iterable[Partition], k: int, fresh=False) -> Dict[int,
             # c = max(d1, lam[d]) .. lam[0]-1, and lam[d] >= d1 always: if
             # d < d1, lam[d] >= lam[d1-1] >= d1; if d = d1, row d1 starts the
             # second square, of size d1.  No conjugate is needed.
-            if ends_in_one and pos < size:
-                continue
             m = lam[0] - lam[d] - (size - pos)
             counts[m] = counts.get(m, 0) + 1
     return counts

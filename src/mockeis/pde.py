@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ConfigError
-from .functions import eisenstein, theta_series
+from .functions import eisenstein, eisenstein_exponential, theta_series
 from .mock import MockFamily, mock_eisenstein_family
 from .qseries import QSeries
 from .wjets import WJet, build_jet, exp_cw, jet_exp, reciprocal_two_sinh_half
@@ -80,15 +80,6 @@ def heat_operator(j: int, jet: WJet) -> WJet:
     )
 
 
-def _eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
-    """exp(scale * sum_{k>=2} G_k w^k/k!) on [0, max_deg]."""
-    entries = {
-        k: eisenstein(k, q_order) * Fraction(scale, factorial(k))
-        for k in range(2, max_deg + 1, 2)
-    }
-    return jet_exp(build_jet(entries, 2, max_deg, q_order))
-
-
 def pde_residual(max_deg: int, q_order: int) -> WJet:
     """(H_3 H_1 - (220/3) G_4) A_5 + 24 w^{-5} exp(10 sum G_k w^k/k!).
 
@@ -100,7 +91,7 @@ def pde_residual(max_deg: int, q_order: int) -> WJet:
     a5 = appell5_jet(max_deg + 4, q_order)
     g4 = eisenstein(4, q_order)
     lhs = heat_operator(3, heat_operator(1, a5)) - a5.scale(g4 * Fraction(220, 3))
-    rhs = _eisenstein_exponential(10, max_deg + 5, q_order).shift(-5).scale(-24)
+    rhs = eisenstein_exponential(10, max_deg + 5, q_order).shift(-5).scale(-24)
     return lhs - rhs
 
 

@@ -145,12 +145,12 @@ class QSeries:
     @classmethod
     def from_terms(cls, terms: dict, order: int) -> "QSeries":
         """Series from an {exponent: coefficient} map; exponents beyond order are dropped."""
-        cs = [Fraction(0)] * (order + 1)
+        cs = [0] * (order + 1)
         for n, c in terms.items():
             if n < 0:
                 raise ValueError("negative q-exponent")
             if n <= order:
-                cs[n] += _coerce(c)
+                cs[n] += c if isinstance(c, int) else _coerce(c)
         return cls(cs)
 
     # -- basic accessors ---------------------------------------------
@@ -302,18 +302,18 @@ class QSeries:
         return QSeries(b)
 
     def log(self) -> "QSeries":
-        """log of a series with constant term 1; inverse of :meth:`exp`."""
-        a = self.coeffs
-        if a[0] != 1:
+        """log of a series with constant term 1; inverse of :meth:`exp`.
+
+        The integral of the log-derivative: n l_n = [q^n] qD(a)/a, each
+        numerator divided by its n over the denominator times lcm(1, ..., N).
+        """
+        if self.nums[0] != self.den:
             raise ConstantTermError("log requires constant term 1")
-        l = [Fraction(0)]
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n):
-                if l[k] and a[n - k]:
-                    acc += k * l[k] * a[n - k]
-            l.append(a[n] - acc / n)
-        return QSeries(l)
+        d = self.qderiv() * self.inverse()
+        top = lcm(*range(1, len(d.nums)))
+        return QSeries._of(
+            [c * (top // n) if n else 0 for n, c in enumerate(d.nums)], d.den * top
+        )
 
     def qderiv(self) -> "QSeries":
         """The operator q d/dq: coefficient of q^n becomes n c_n."""

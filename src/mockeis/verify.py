@@ -63,6 +63,17 @@ def _zero_check(name: str, residual) -> CheckResult:
     return CheckResult(name, False, where)
 
 
+def _count_check(name: str, route: str, table: pt.CountTable, count) -> CheckResult:
+    """``count(m, n)`` against the enumerated ``table``; reports the first mismatch."""
+    for m in range(-table.max_abs_m, table.max_abs_m + 1):
+        for n in range(table.max_n + 1):
+            got, want = count(m, n), table.count(m, n)
+            if got != want:
+                detail = f"N_{table.k}({m},{n}): {route} {got}, enumeration {want}"
+                return CheckResult(name, False, detail)
+    return CheckResult(name, True)
+
+
 # -- suites ---------------------------------------------------------------
 
 
@@ -77,52 +88,16 @@ def suite_counts(
         n_top = 25 if max_n is None else max_n
         m_top = 6 if max_m is None else max_m
         table = pt.count_table(k, m_top, n_top)
-        ok = True
-        detail = ""
-        for m in range(-m_top, m_top + 1):
-            series = fn.krank_count_series(k, m, n_top)
-            for n in range(n_top + 1):
-                if series.coeff(n) != table.count(m, n):
-                    ok = False
-                    detail = (
-                        f"N_{k}({m},{n}): series {series.coeff(n)}, "
-                        f"enumeration {table.count(m, n)}"
-                    )
-                    break
-            if not ok:
-                break
-        results.append(
-            CheckResult(
-                f"counts: N_{k} enumeration = count series (n<={n_top}, |m|<={m_top})",
-                ok,
-                detail,
-            )
-        )
+        series = {m: fn.krank_count_series(k, m, n_top) for m in range(-m_top, m_top + 1)}
+        name = f"counts: N_{k} enumeration = count series (n<={n_top}, |m|<={m_top})"
+        results.append(_count_check(name, "series", table, lambda m, n: series[m].coeff(n)))
         if k == 3:
             n3 = min(15, n_top) if max_n is None else max_n
             m3 = min(5, m_top) if max_m is None else max_m
             small = pt.count_table(3, m3, n3)
             multi = fn.multisum_count_table(3, m3, n3)
-            ok = True
-            detail = ""
-            for m in range(-m3, m3 + 1):
-                for n in range(n3 + 1):
-                    if multi.count(m, n) != small.count(m, n):
-                        ok = False
-                        detail = (
-                            f"N_3({m},{n}): multisum {multi.count(m, n)}, "
-                            f"enumeration {small.count(m, n)}"
-                        )
-                        break
-                if not ok:
-                    break
-            results.append(
-                CheckResult(
-                    f"counts: N_3 multisum = enumeration (n<={n3}, |m|<={m3})",
-                    ok,
-                    detail,
-                )
-            )
+            name = f"counts: N_3 multisum = enumeration (n<={n3}, |m|<={m3})"
+            results.append(_count_check(name, "multisum", small, multi.count))
     return results
 
 

@@ -244,6 +244,23 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "FAIL" in out
+        assert "[N_3(-2,2): series 1, enumeration 0]" in out
+
+    def test_corrupted_multisum_reports_the_first_mismatch(self, monkeypatch):
+        true_table = mockeis.functions.multisum_count_table
+
+        def corrupted(k, max_abs_m, order):
+            table = true_table(k, max_abs_m, order)
+            return table._replace(entries={**table.entries, (1, 5): 2})
+
+        monkeypatch.setattr(mockeis.functions, "multisum_count_table", corrupted)
+        series, multi = verify.suite_counts(ks=(3,), max_n=6, max_m=2)
+        assert series == ("counts: N_3 enumeration = count series (n<=6, |m|<=2)", True, "")
+        assert multi == (
+            "counts: N_3 multisum = enumeration (n<=6, |m|<=2)",
+            False,
+            "N_3(1,5): multisum 2, enumeration 1",
+        )
 
     def test_all_prints_finished_suites_before_an_error(self, capsys):
         # counts takes k = 2; moments rejects it after counts has run.

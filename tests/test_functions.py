@@ -202,12 +202,13 @@ class TestMultisum:
         table = multisum_count_table(3, 3, 6)
         assert all(table.count(m, 0) == 0 for m in range(-3, 4))
 
-    def test_three_way_agreement(self):
-        brute = count_table(3, 5, 12)
-        multi = multisum_count_table(3, 5, 12)
-        for m in range(-5, 6):
-            series = krank_count_series(3, m, 12)
-            for n in range(13):
+    @pytest.mark.parametrize("k, max_m, order", [(3, 5, 12), (3, 8, 25), (5, 5, 20)])
+    def test_three_way_agreement(self, k, max_m, order):
+        brute = count_table(k, max_m, order)
+        multi = multisum_count_table(k, max_m, order)
+        for m in range(-max_m, max_m + 1):
+            series = krank_count_series(k, m, order)
+            for n in range(order + 1):
                 assert multi.count(m, n) == brute.count(m, n) == series.coeff(n)
         assert multi.entries == brute.entries  # both store the nonzero counts only
 

@@ -257,14 +257,7 @@ class TestStatisticHistogram:
         expected = {k_rank(lam, k): 1} if len(durfee_sizes(lam)) >= k - 1 else {}
         assert _k_rank_counts([lam], k) == expected
 
-    @given(partition_st.filter(bool), st.integers(3, 7))
-    def test_fresh_counts_only_partitions_new_at_n(self, lam, k):
-        # New at n: not lam' + (1,) for a lam' with at least k-1 squares.
-        squares = len(durfee_sizes(lam))
-        new = squares == k - 1 or (squares > k - 1 and lam[-1] != 1)
-        expected = {k_rank(lam, k): 1} if new else {}
-        assert _k_rank_counts([lam], k, fresh=True) == expected
-
+            # second square, of size d1.  No conjugate is needed.
     def test_sorted_without_zero_counts(self):
         for k in (1, 2, 3, 5):
             for n in (0, 1, 9, 16):

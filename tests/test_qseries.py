@@ -84,6 +84,8 @@ class TestBasics:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             QSeries([0.5])
+        with pytest.raises(TypeError):
+            QSeries.from_terms({1: 0.5}, 2)
 
     def test_str(self):
         assert str(QSeries([F(-1, 24), 0, 0, 1, 3])) == "-1/24 + q^3 + 3q^4"
@@ -409,3 +411,15 @@ class TestStorageAgainstOracle:
         for n in range(1, len(cs)):
             expected.append(-sum(cs[k] * expected[n - k] for k in range(1, n + 1)) / cs[0])
         assert_stores(a.inverse(), expected)
+
+    @given(storage_series)
+    @settings(deadline=None)
+    def test_log(self, a):
+        a = a - a.coeff(0) + 1
+        cs = a.coeffs
+        # The recurrence n l_n = n a_n - sum_{k<n} k l_k a_{n-k} over Fractions.
+        expected = [F(0)]
+        for n in range(1, len(cs)):
+            acc = sum((k * expected[k] * cs[n - k] for k in range(1, n)), F(0))
+            expected.append(cs[n] - acc / n)
+        assert_stores(a.log(), expected)
