@@ -184,8 +184,11 @@ def _table_traces(args: argparse.Namespace) -> str:
         args.route,
         allow_k2=args.allow_k2,
     )
+    monomials: dict = {}
     traces = {
-        j: list(map(str, mock.partition_trace(j, family.member, args.order, "phi").coeffs))
+        j: list(
+            map(str, mock.partition_trace(j, family.member, args.order, "phi", monomials).coeffs)
+        )
         for j in range(args.max_j + 1)
     }
     if args.fmt == "csv":

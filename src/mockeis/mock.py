@@ -61,30 +61,48 @@ def psi_weight(lam: Tuple[int, ...]) -> Fraction:
 _WEIGHTS = {"phi": phi_weight, "psi": psi_weight}
 
 
-def partition_trace(n: int, members: Members, order: int, weight: str = "phi") -> QSeries:
+def partition_trace(
+    n: int, members: Members, order: int, weight: str = "phi", monomials: Optional[dict] = None
+) -> QSeries:
     """Tr_n(weight, f) = sum_{lambda of n} weight(lambda) prod_k f_k^{l_k}.
 
     ``members`` maps a part size to its series; odd members are expected
-    to be zero series.  Tr_0 = 1 (empty product).
+    to be zero series.  Tr_0 = 1 (empty product).  ``monomials`` may be a
+    dict shared by calls with the same members and order: it keeps the
+    nonzero monomial of every partition met, so that each costs one product.
     """
     try:
         weigh = _WEIGHTS[weight]
     except KeyError:
         raise ValueError(f"unknown trace weight {weight!r}") from None
+    if monomials is None:
+        monomials = {}
     total = QSeries.zero(order)
     for lam in partitions_of(n):
-        term = QSeries.one(order)
-        dead = False
-        for part, mult in sorted(Counter(lam).items()):
-            factor = members(part)
-            if factor.is_zero():
-                dead = True
-                break
-            term = term * factor**mult
-        if dead:
-            continue
-        total = total + term * weigh(lam)
+        term = _monomial(lam, members, order, monomials)
+        if term is not None:
+            total = total + term * weigh(lam)
     return total
+
+
+def _monomial(lam: Tuple[int, ...], members: Members, order: int, monomials: dict):
+    """prod_k f_k^{l_k} over the parts of lam, or None if a part's member is zero.
+
+    mono(lam) = mono(lam[:-1]) * members(lam[-1]).  Only the nonzero
+    monomials are kept in ``monomials``: with zero odd members most
+    partitions are dead, and a dead one is found again within its run of
+    trailing live parts.
+    """
+    if not lam:
+        return QSeries.one(order)
+    term = monomials.get(lam)
+    if term is None:
+        factor = members(lam[-1])
+        head = None if factor.is_zero() else _monomial(lam[:-1], members, order, monomials)
+        if head is None:
+            return None
+        term = monomials[lam] = head * factor
+    return term
 
 
 def eisenstein_members(order: int) -> Members:
@@ -153,14 +171,17 @@ def _route_recursion_b(g: Dict[int, QSeries], max_j: int, order: int) -> Dict[in
             return QSeries.zero(order)
         return members[j]
 
+    # traces[i] = Tr_{2i}(psi, f), each from the members below it.
+    traces: List[QSeries] = []
+    monomials: dict = {}
     for n in range(2, max_j + 1, 2):
+        traces.append(partition_trace(n - 2, partial, order, "psi", monomials))
         acc = QSeries.zero(order)
         for ell in range(2, n + 1, 2):
-            tr = partition_trace(n - ell, partial, order, weight="psi")
             coeff = Fraction(ell, 2 ** (ell - 1)) * Fraction(
                 factorial(n - 1), factorial(ell - 1)
             )
-            acc = acc + (g[ell] * tr) * coeff
+            acc = acc + (g[ell] * traces[(n - ell) // 2]) * coeff
         members[n] = acc
     return members
 
@@ -236,8 +257,9 @@ def _trace_residuals(moments: List[QSeries], members: Members, order: int) -> Li
     for the moment series M_j = ``moments[j]``.
     """
     max_j = len(moments) - 1
+    monomials: dict = {}
     traces = build_jet(
-        {j: partition_trace(j, members, order, "phi") for j in range(max_j + 1)},
+        {j: partition_trace(j, members, order, "phi", monomials) for j in range(max_j + 1)},
         0,
         max_j,
         order,

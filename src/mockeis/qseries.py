@@ -14,14 +14,25 @@ operations truncate to the smaller operand order, so a result never
 claims a coefficient it cannot certify; reading past the order raises
 instead of returning a silent zero.
 
-Series products use Kronecker substitution (Schoenhage 1982; Harvey,
-J. Symb. Comput. 2009).  The numerators of each operand are packed into
-one Python ``int`` as the value of the polynomial at 2^w, one big-integer
-multiply does the whole convolution, and the product's denominator is
-the product of the two.  The slot width w exceeds the bit length of the
-bound max|a| * max|b| * (N + 1) on every product coefficient, so no slot
-overflows into the next, and the signed slots are read back exactly with
-a borrow from each negative slot to the one above.  Nothing is
+Series products of two convolving factors use Kronecker substitution
+(Schoenhage 1982; Harvey, J. Symb. Comput. 2009): the numerators of each
+operand are packed into one Python ``int`` as the value of the
+polynomial at 2^w, and one big-integer multiply does the whole
+convolution.  Every slot is wider than the bound max|a| * max|b| * (N + 1)
+on the product's coefficients, so no slot overflows into the next.  A
+product takes one of three paths, chosen by its operands:
+
+  * a factor with no nonzero coefficient past q^0 (a zero factor too)
+    only scales the other factor's numerators: no convolution;
+  * a bound below 2^63: each slot is the narrowest word of 1, 2, 4 or 8
+    bytes that holds it, ``struct`` packs and unpacks the words in C, and
+    every slot of the product is offset by half its range, so that it
+    reads back unsigned;
+  * a larger bound: the slots are whole bytes, and each signed slot is
+    read back in Python with a borrow from each negative slot to the one
+    above.
+
+The product's denominator is the product of the two.  Nothing is
 approximated: the products equal those of the schoolbook convolution,
 which the test suite keeps as an independent oracle.
 """
@@ -30,8 +41,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, neg, sub
+from struct import pack, unpack
 from typing import Iterable, Tuple, Union
 
 from .errors import ConstantTermError, ZeroConstantTermError
@@ -67,6 +80,27 @@ def _pack(values: tuple, width: int) -> int:
     return packed - ((packed & top) << 1)
 
 
+# struct codes of the signed and unsigned little-endian words of each width.
+_WORD_CODES = {1: "bB", 2: "hH", 4: "iI", 8: "qQ"}
+
+
+def _word_product(a: tuple, b: tuple, width: int) -> tuple:
+    """_kronecker_product with slots of one struct word of 1, 2, 4 or 8 bytes.
+
+    Every |c_k| must be below h = 2^(8 * width - 1).
+    """
+    n = len(a)
+    signed, unsigned = _WORD_CODES[width]
+    # h in every slot: the top bits of the signed slots, as in _pack, and the
+    # offset that keeps each slot of the product in [0, 2h).
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    pa = int.from_bytes(pack(f"<{n}{signed}", *a), "little")
+    pb = int.from_bytes(pack(f"<{n}{signed}", *b), "little")
+    product = (pa - ((pa & top) << 1)) * (pb - ((pb & top) << 1)) + top
+    low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
+    return tuple(map((-1 << (8 * width - 1)).__add__, unpack(f"<{n}{unsigned}", low)))
+
+
 def _kronecker_product(a: tuple, b: tuple) -> tuple:
     """The first len(a) coefficients of the product of two equal-length integer series."""
     n = len(a)
@@ -75,6 +109,9 @@ def _kronecker_product(a: tuple, b: tuple) -> tuple:
         return (0,) * n
     # Bytes per slot: every |c_k| <= bound < 2^(8 * width - 1).
     width = (bound.bit_length() + 8) // 8
+    if width <= 8:
+        # Up to 8 bytes, the next struct word: packed and read in C.
+        return _word_product(a, b, 1 << (width - 1).bit_length())
     product = _pack(a, width) * _pack(b, width)
     low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
     out = []
@@ -227,10 +264,16 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
-            n = min(len(self.nums), len(other.nums))
-            return QSeries._of(
-                _kronecker_product(self.nums[:n], other.nums[:n]), self.den * other.den
-            )
+            a, b = self.nums, other.nums
+            n = min(len(a), len(b))
+            den = self.den * other.den
+            if not any(islice(b, 1, n)):
+                a, b = b, a  # a constant factor goes first
+            if not any(islice(a, 1, n)):
+                # Nothing past q^0 (a zero factor too): scale the other factor.
+                c = a[0]
+                return QSeries._of([c * x for x in islice(b, n)], den)
+            return QSeries._of(_kronecker_product(a[:n], b[:n]), den)
         p, q = _ratio(other)
         if p == q:
             return self

@@ -2,16 +2,19 @@
 tables, traces, the moment/trace identities, integrality, leading
 pattern."""
 
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
+from mockeis import qseries
 from mockeis.bernoulli import bernoulli
 from mockeis.errors import MissingMemberError
 from mockeis.functions import divisor_like_sum, rank_moment, theta_series
 from mockeis.mock import (
     MockFamily,
+    _WEIGHTS,
     crank_trace_residuals,
     eisenstein_members,
     integrality_check,
@@ -22,6 +25,7 @@ from mockeis.mock import (
     psi_weight,
     trace_identity_residuals,
 )
+from mockeis.partitions import partitions_of
 from mockeis.qseries import QSeries, euler_product, partition_series
 from mockeis.wjets import build_jet, jet_exp, rational_jet, two_sinh_half_over_w
 
@@ -136,6 +140,52 @@ class TestTraces:
         )
         for n in range(top + 1):
             assert partition_trace(n, fam.member, order, weight) == expo.coeff(n)
+
+
+    @pytest.mark.parametrize("weight", ["phi", "psi"])
+    def test_shared_monomials(self, weight, monkeypatch):
+        # Members with every part size alive, and a family whose odd members vanish.
+        order = 12
+        dense = {j: QSeries([F(j, 3), -j, 1, *range(order - 2)]) for j in range(1, 11)}
+        fam = mock_eisenstein_family(3, 10, order)
+        for members in (dense.__getitem__, fam.member):
+            fresh = [partition_trace(n, members, order, weight) for n in range(11)]
+            # The product of member powers for each partition, as the definition reads.
+            for n, trace in enumerate(fresh):
+                expected = QSeries.zero(order)
+                for lam in partitions_of(n):
+                    term = QSeries.one(order)
+                    for part, mult in Counter(lam).items():
+                        term = term * members(part) ** mult
+                    expected = expected + term * _WEIGHTS[weight](lam)
+                assert trace == expected
+            for ns in (range(11), range(10, -1, -1)):
+                monomials = {}
+                shared = {n: partition_trace(n, members, order, weight, monomials) for n in ns}
+                assert [shared[n] for n in range(11)] == fresh
+            # A second pass over the same dict finds every monomial built.
+            kernel = qseries._kronecker_product
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    qseries, "_kronecker_product", lambda a, b: calls.append(len(a)) or kernel(a, b)
+                )
+                again = [partition_trace(n, members, order, weight, monomials) for n in range(11)]
+            assert again == fresh
+            assert calls == []
+
+    def test_recursion_b_products(self, monkeypatch):
+        # Each monomial and each trace is built once: 28 products at (4, 12, 100).
+        kernel = qseries._kronecker_product
+        calls = []
+        monkeypatch.setattr(
+            qseries, "_kronecker_product", lambda a, b: calls.append(len(a)) or kernel(a, b)
+        )
+        family = mock_eisenstein_family.__wrapped__(4, 12, 100, "recursionB")
+        assert len(calls) <= 40
+        assert family == mock_eisenstein_family(4, 12, 100, "recursionA")._replace(
+            route="recursionB"
+        )
 
 
 class TestTraceIdentity:

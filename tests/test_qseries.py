@@ -16,6 +16,7 @@ from mockeis.functions import (
     theta_deriv,
     theta_series,
 )
+from mockeis import qseries
 from mockeis.mock import mock_eisenstein_family
 from mockeis.qseries import QSeries, euler_product, partition_series, q_pochhammer
 
@@ -237,6 +238,75 @@ class TestProductAgainstOracle:
         for n in (0, 1, 7):
             assert_matches_oracle(QSeries.zero(n), QSeries([F(2**100, 3)] * (n + 2)))
             assert_matches_oracle(QSeries.zero(n), QSeries.zero(n))
+
+    @given(
+        st.one_of(st.sampled_from((F(0), F(1), F(-1))), wide_rationals),
+        series_st(max_order=40, coeffs=wide_rationals),
+        st.integers(0, 45),
+    )
+    @settings(deadline=None)
+    def test_constant_factor(self, c, a, order):
+        assert_matches_oracle(QSeries.constant(c, order), a)
+
+    def test_constant_factor_makes_no_convolution(self, monkeypatch):
+        kernel = qseries._kronecker_product
+        calls = []
+        monkeypatch.setattr(
+            qseries, "_kronecker_product", lambda a, b: calls.append(len(a)) or kernel(a, b)
+        )
+        dense = QSeries([F(2**70, 3), -1, 5, F(-7, 2), 0, 9])
+        for c in (0, 1, -1, F(2**100, 3), F(-5, 7)):
+            for n in (0, 3, 5, 8):
+                assert_matches_oracle(QSeries.constant(c, n), dense)
+        # Nonzero only past the common order counts as a constant too.
+        assert_matches_oracle(QSeries([4, 0, 0, 1]).truncate(2), dense)
+        assert calls == []
+        # Zero at q^0 but not above it: a real convolution, on either side.
+        for shifted in (QSeries([0, 1]), QSeries([0, 0, 0, 0, 0, F(-1, 3)])):
+            assert_matches_oracle(shifted, dense)
+            assert_matches_oracle(shifted, shifted)
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_word_boundaries(self, n, monkeypatch):
+        # max|a| * max|b| * n on either side of 2^e - 1, 2^e and 2^e + 1 for
+        # e = 7, 15, 31, 63: below 2^63 the product takes the narrowest struct
+        # word of 1, 2, 4 or 8 bytes that holds the bound, from 2^63 on byte slots.
+        word = qseries._word_product
+        widths = []
+        monkeypatch.setattr(
+            qseries, "_word_product", lambda a, b, w: widths.append(w) or word(a, b, w)
+        )
+        for e in (7, 15, 31, 63):
+            bounds = set()
+            for target in (2**e - 1, 2**e, 2**e + 1):
+                for m in {target // n, -(-target // n)}:
+                    split = 2 ** (e // 2)
+                    for x, y in ((m, 1), (1, m), (m // split or 1, split)):
+                        bound = x * y * n
+                        bounds.add(bound)
+                        same_x = QSeries([x] * n)
+                        same_y = QSeries([y] * n)
+                        alt_x = QSeries([(-1) ** i * x for i in range(n)])
+                        alt_y = QSeries([(-1) ** i * y for i in range(n)])
+                        for a, b in (
+                            (same_x, same_y),
+                            (same_x, -same_y),
+                            (-same_x, -same_y),
+                            (alt_x, same_y),
+                            (alt_x, alt_y),
+                            (-alt_x, alt_y),
+                        ):
+                            assert_matches_oracle(a, b)
+                            # The kernel itself, which the series product skips at n = 1.
+                            del widths[:]
+                            expected = schoolbook_product(a.nums, b.nums)
+                            assert qseries._kronecker_product(a.nums, b.nums) == expected
+                            fits = [w for w in (1, 2, 4, 8) if bound < 2 ** (8 * w - 1)]
+                            assert widths == fits[:1]
+            assert min(bounds) < 2**e <= max(bounds)
+            if n == 1:
+                assert {2**e - 1, 2**e, 2**e + 1} <= bounds
 
 
 class TestRingProperties:
