@@ -9,7 +9,9 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 
 from .errors import ConfigError, WindowTooLargeError
@@ -302,19 +304,53 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _end_without_teardown(returned: list) -> None:
+    """``atexit`` hook of :func:`entrypoint`: flush stdout and stderr, then end now.
+
+    It acts only once :func:`main` has returned its code into ``returned``.
+    ``os._exit`` skips module teardown, which would free every cached
+    partition and series one by one, and the ``atexit`` handlers registered
+    before this hook.  If a flush fails, the interpreter exits as usual.
+    """
+    if not returned:
+        return
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except BrokenPipeError:
+        os._exit(1)
+    except (OSError, ValueError):
+        return
+    os._exit(returned[0])
+
+
 def entrypoint() -> None:
-    """Run :func:`main` as the whole process, with no cyclic garbage collection.
+    """Run :func:`main` as the whole process: no cyclic GC and no teardown.
 
     No command creates a reference cycle outside argparse's parser, so the
     collector would only walk the cached partitions and series, which hold
     none; with it off, memory still stays bounded (the tests check that a
     collection after each command finds no more than the parser alone
-    leaves).  Freezing the heap before exit leaves the collection at
-    interpreter shutdown nothing to walk.  :func:`main` itself leaves the
-    caller's GC as it found it.
+    leaves).  :func:`main` itself leaves the caller's GC as it found it.
+
+    Once :func:`main` has returned, an ``atexit`` hook registered before it
+    ran flushes stdout and stderr and calls ``os._exit``.  So a CLI process
+    skips module teardown and the ``atexit`` handlers registered before this
+    call; those registered later still run first.  A caller in the same
+    process still gets ``SystemExit``, but its process then ends with this
+    code at exit: programs call :func:`main`.  After an exception
+    (argparse's usage errors included) the interpreter exits as usual, and
+    the frozen heap leaves its shutdown collection nothing to walk.  A
+    broken pipe exits 1 with no traceback, as the ``signal`` module's
+    documentation advises for SIGPIPE.
     """
     gc.disable()
+    returned: list = []
+    atexit.register(_end_without_teardown, returned)
     try:
-        sys.exit(main())
+        returned.append(main())
+    except BrokenPipeError:
+        os._exit(1)  # teardown would only fail to flush stdout again
     finally:
         gc.freeze()
+    sys.exit(returned[0])

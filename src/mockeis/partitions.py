@@ -23,8 +23,7 @@ tally that walks each 1-free partition's Durfee squares once.
 :func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
 only read those histograms; ``crank``, ``rank``, ``k_rank``,
 ``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
-tested against, and ``_k_rank_counts`` is the full-scan reference for the
-k-rank histograms.  ``table Nk`` at the ceiling takes about 0.15 s cold.
+tested against.
 """
 
 from __future__ import annotations
@@ -34,17 +33,14 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from functools import lru_cache, wraps
 from itertools import chain, islice, repeat
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
 
 Partition = Tuple[int, ...]
 
-#: Brute-force enumeration ceiling: p(40) = 37338 partitions; ``table Nk
-#: --maxm 6 --maxn 40`` takes about 0.15 s as a cold CLI process (medians
-#: 0.147 s for k = 3 and for k = 5 over 74 and 71 runs in BENCH_8.json,
-#: Python 3.11 on a 2-vCPU Intel Xeon, at perfbench's reference host
-#: speed).  ``partitions_of`` refuses any n above it.
+#: Brute-force enumeration ceiling: p(40) = 37338 partitions, and 215,307
+#: over 1 <= n <= 40.  ``partitions_of`` refuses any n above it.
 PARTITION_CEILING = 40
 
 
@@ -180,38 +176,6 @@ def k_rank(parts: Partition, k: int) -> int:
     return right - below
 
 
-def _k_rank_counts(parts: Iterable[Partition], k: int) -> Dict[int, int]:
-    """k-rank counts (k >= 3) over ``parts``, one pass per partition.
-
-    Partitions with fewer than k-1 successive Durfee squares are skipped.
-    """
-    counts: Dict[int, int] = {}
-    for lam in parts:
-        size = len(lam)
-        d1 = 0
-        while d1 < size and lam[d1] > d1:
-            d1 += 1
-        pos = d = d1
-        for _ in range(k - 2):
-            if pos == size:
-                break
-            d = 0
-            while pos + d < size and lam[pos + d] > d:
-                d += 1
-            pos += d
-        else:
-            # d = d_{k-1}, and the k-1 squares cover rows 0..pos-1.  Column c
-            # has length #{i : lam[i] > c}, which is <= d exactly when
-            # lam[d] <= c; lam[d] exists, as pos >= d1 + d > d.  The columns
-            # right of the first square with length <= d are therefore
-            # c = max(d1, lam[d]) .. lam[0]-1, and lam[d] >= d1 always: if
-            # d < d1, lam[d] >= lam[d1-1] >= d1; if d = d1, row d1 starts the
-            # second square, of size d1.  No conjugate is needed.
-            m = lam[0] - lam[d] - (size - pos)
-            counts[m] = counts.get(m, 0) + 1
-    return counts
-
-
 @lru_cache(maxsize=None)
 @_without_gc
 def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
@@ -245,7 +209,14 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
             pos += d
             squares += 1
         if squares == last:  # k >= 3, so the loop above ran and set d
-            # As in _k_rank_counts: d = d_{k-1} and rows 0..pos-1 are covered.
+            # d = d_{k-1}, the k-1 squares cover rows 0..pos-1, and d1 is the
+            # first square's size.  Column c has length #{i : mu[i] > c},
+            # which is <= d exactly when mu[d] <= c; mu[d] exists, as
+            # pos >= d1 + d > d.  The columns right of the first square with
+            # length <= d are therefore c = max(d1, mu[d]) .. mu[0]-1, and
+            # mu[d] >= d1 always: if d < d1, mu[d] >= mu[d1-1] >= d1; if
+            # d = d1, row d1 starts the second square, of size d1.  No
+            # conjugate is needed.
             m = mu[0] - mu[d] - (size - pos)
             ranks[m] = ranks.get(m, 0) + 1
         else:

@@ -438,6 +438,89 @@ class TestLazyPackage:
             mockeis.no_such_name
 
 
+BFILE = ("f", "--k", "3", "--j", "12", "--order", "2000", "--format", "bfile")  # 75 KB
+SMALL = ("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "8")  # fits stdout's buffer
+K2 = ("table", "Nk", "--k", "2", "--maxm", "2", "--maxn", "5")  # a ConfigError: exit 2
+
+# sitecustomize runs before the package is imported, and teardown frees its
+# module.  __del__ is a partial, not a function, so the class holds no
+# reference back to the module: the probe is in no cycle, which the heap a
+# CLI process freezes would otherwise keep alive.
+TEARDOWN_PROBE = """\
+import functools
+import os
+
+
+class Probe:
+    __del__ = functools.partial(os.write, 2, b"teardown ran")
+
+
+probe = Probe()
+"""
+
+
+def mockeis_process(*argv, path=()):
+    """``python -m mockeis argv`` with this checkout's package first on the path.
+
+    stdout is block-buffered (no PYTHONUNBUFFERED), so what a command leaves
+    in the buffer reaches the pipe only through the flush at exit.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [*map(str, path), SRC, os.environ.get("PYTHONPATH")])
+    )}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "mockeis", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def run_mockeis(*argv, path=()):
+    with mockeis_process(*argv, path=path) as proc:
+        out, err = proc.communicate()
+    return proc.returncode, out, err
+
+
+class TestProcess:
+    @pytest.mark.parametrize("argv", [BFILE, SMALL], ids=["bfile", "small"])
+    def test_piped_stdout_is_the_whole_output(self, capsys, argv):
+        # The bfile is more than a 64 KiB pipe buffer holds, and all of the
+        # small output is still in stdout's buffer when the command returns.
+        _, expected, _ = run_cli(capsys, *argv)
+        assert run_mockeis(*argv) == (0, expected.encode("ascii"), b"")
+
+    def test_out_file_has_the_same_bytes(self, capsys, tmp_path):
+        _, expected, _ = run_cli(capsys, *BFILE)
+        target = tmp_path / "f.txt"
+        assert run_mockeis(*BFILE, "--out", str(target)) == (0, b"", b"")
+        assert target.read_bytes() == expected.encode("ascii")
+
+    def test_config_error_exits_2(self):
+        code, out, err = run_mockeis(*K2)
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: ")
+
+    @pytest.mark.parametrize("argv", [BFILE, SMALL], ids=["bfile", "small"])
+    def test_broken_pipe_exits_1_without_a_traceback(self, argv):
+        # The reader is gone before the first write: the bfile's write fails
+        # inside the command, the small output's in the flush at exit.
+        with mockeis_process(*argv) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (1, b"")
+
+    @pytest.mark.parametrize("argv, code, teardown", [
+        (SMALL, 0, False),
+        (K2, 2, False),
+        (("table", "Nk", "--k", "3", "--no-such-flag"), 2, True),
+    ], ids=["success", "config-error", "usage-error"])
+    def test_teardown_runs_only_after_an_exception(self, tmp_path, argv, code, teardown):
+        (tmp_path / "sitecustomize.py").write_text(TEARDOWN_PROBE)
+        returncode, _, err = run_mockeis(*argv, path=[tmp_path])
+        assert returncode == code
+        assert (b"teardown ran" in err) == teardown
+
+
 def clear_caches():
     for name, module in list(sys.modules.items()):
         if name.startswith("mockeis."):

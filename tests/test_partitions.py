@@ -12,7 +12,6 @@ from mockeis.errors import ConventionCaseError, WindowTooLargeError
 from mockeis.functions import rank_moment
 from mockeis.partitions import (
     PARTITION_CEILING,
-    _k_rank_counts,
     _one_free_tally,
     count_table,
     crank,
@@ -223,6 +222,35 @@ def reference_histogram(k, n):
     return Counter(
         k_rank(lam, k) for lam in partitions_of(n) if len(durfee_sizes(lam)) >= k - 1
     )
+
+
+def _k_rank_counts(parts, k) -> dict:
+    """k-rank counts (k >= 3) over ``parts``, one pass per partition.
+
+    The full-scan reference for the 1-free recurrence of
+    ``statistic_histogram``.  Partitions with fewer than k-1 successive
+    Durfee squares are skipped.
+    """
+    counts: dict = {}
+    for lam in parts:
+        size = len(lam)
+        d1 = 0
+        while d1 < size and lam[d1] > d1:
+            d1 += 1
+        pos = d = d1
+        for _ in range(k - 2):
+            if pos == size:
+                break
+            d = 0
+            while pos + d < size and lam[pos + d] > d:
+                d += 1
+            pos += d
+        else:
+            # d = d_{k-1} and rows 0..pos-1 are covered; the k-rank needs no
+            # conjugate, as derived in partitions._one_free_tally.
+            m = lam[0] - lam[d] - (size - pos)
+            counts[m] = counts.get(m, 0) + 1
+    return counts
 
 
 class TestStatisticHistogram:
