@@ -25,10 +25,16 @@ RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write the chunks in turn, to the --out file or to stdout."""
+    """Write the chunks in turn, to the --out file or to stdout.
+
+    A process started with stdout closed has no ``sys.stdout``; that is a
+    reader gone before the first write, so it raises ``BrokenPipeError``.
+    """
     if out:
         with open(out, "w", encoding="ascii") as handle:
             handle.writelines(chunks)
+    elif sys.stdout is None:
+        raise BrokenPipeError("stdout is closed")
     else:
         sys.stdout.writelines(chunks)
 
@@ -239,15 +245,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # Each suite's lines are printed as it finishes, so an error in a later
     # suite (exit 2) does not discard the results already computed.
     for results in verify.iter_suites(args.suite, flags):
+        lines = []
         for result in results:
             status = "PASS" if result.passed else "FAIL"
-            line = f"{status} {result.name}"
-            if result.detail:
-                line += f" [{result.detail}]"
-            print(line)
+            detail = f" [{result.detail}]" if result.detail else ""
+            lines.append(f"{status} {result.name}{detail}\n")
             failed += not result.passed
+        _emit(lines, None)
         total += len(results)
-    print(f"{total - failed}/{total} checks passed")
+    _emit([f"{total - failed}/{total} checks passed\n"], None)
     return 0 if failed == 0 else 1
 
 

@@ -77,10 +77,7 @@ def _theta_terms(a: int, b: int, order: int):
 
 def theta_series(a: int, b: int, order: int) -> QSeries:
     """theta_{a,b} = sum_{n in Z} (-1)^n q^{(b n^2 + a n)/2}, truncated."""
-    coeffs = [0] * (order + 1)
-    for n, h in _theta_terms(a, b, order):
-        coeffs[h] += (-1) ** (n & 1)
-    return QSeries._of(coeffs)
+    return theta_deriv(a, b, 0, order)
 
 
 def theta_deriv(a: int, b: int, m: int, order: int) -> QSeries:
@@ -106,25 +103,28 @@ def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
           + sum_{a n - 1 >= b m >= b} (a n - b m)^{ell-1} q^{m n}
           - sum_{m - 1 >= a b n >= a b} (m - a b n)^{ell-1} q^{m n},
 
-    truncated by m n <= order.
+    truncated by m n <= order, for positive integers a and b.
     """
     if ell < 0:
         raise ValueError("ell must be non-negative")
+    if a < 1 or b < 1:
+        raise ValueError("divisor-like sums need positive a and b")
     if ell == 0:
         return QSeries.one(order)
     if ell % 2:
         return QSeries.zero(order)
     coeffs = [0] * (order + 1)
-    for m in range(1, order + 1):
-        for n in range(1, order // m + 1):
-            if a * n - 1 >= b * m >= b:
-                coeffs[m * n] += (a * n - b * m) ** (ell - 1)
-            if m - 1 >= a * b * n >= a * b:
-                coeffs[m * n] -= (m - a * b * n) ** (ell - 1)
+    # First set: m >= 1 and n >= (b m + 1)/a, so b m^2 < a m n <= a order.
+    for m in range(1, isqrt(a * order // b) + 1):
+        for n in range((b * m + a) // a, order // m + 1):
+            coeffs[m * n] += (a * n - b * m) ** (ell - 1)
+    # Second set: n >= 1 and m >= a b n + 1, so a b n^2 < m n <= order.
+    for n in range(1, isqrt(order // (a * b)) + 1):
+        for m in range(a * b * n + 1, order // n + 1):
+            coeffs[m * n] -= (m - a * b * n) ** (ell - 1)
     return QSeries._of(coeffs) + (1 - 2 ** (ell - 1)) * bernoulli(ell) / (2 * ell)
 
 
-@lru_cache(maxsize=None)
 def krank_count_series(k: int, m: int, order: int) -> QSeries:
     """Generating function of N_k(m, .): the coefficient of q^n is N_k(m, n).
 

@@ -269,9 +269,7 @@ def _trace_residuals(moments: List[QSeries], members: Members, order: int) -> Li
     return [moments[j] / factorial(j) - rhs.coeff(j) for j in range(max_j + 1)]
 
 
-def trace_identity_residuals(
-    k: int, max_j: int, order: int, route: str = "recursionA"
-) -> List[QSeries]:
+def trace_identity_residuals(k: int, max_j: int, order: int) -> List[QSeries]:
     """Residuals (one per power of the trace variable, 0..max_j) of
 
         sum_j R_{k,j} w^j/j! + theta_{1,2k-1}/(q)_inf
@@ -282,7 +280,7 @@ def trace_identity_residuals(
     """
     if max_j % 2:
         raise ValueError("max_j must be even")
-    fam = mock_eisenstein_family(k, max(max_j, 2), order, route)
+    fam = mock_eisenstein_family(k, max(max_j, 2), order)
     moments = [fn.rank_moment(k, j, order, "direct").series for j in range(max_j + 1)]
     moments[0] = moments[0] + fn.theta_series(1, 2 * k - 1, order) * partition_series(order)
     return _trace_residuals(moments, fam.member, order)

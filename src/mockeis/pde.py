@@ -28,20 +28,17 @@ from math import factorial
 
 from .errors import ConfigError
 from .functions import eisenstein, eisenstein_exponential, theta_series
-from .mock import MockFamily, mock_eisenstein_family
+from .mock import mock_eisenstein_family
 from .qseries import QSeries
 from .wjets import WJet, build_jet, exp_cw, jet_exp, reciprocal_two_sinh_half
 
 
-def appell5_jet(max_deg: int, q_order: int, family: MockFamily | None = None) -> WJet:
+def appell5_jet(max_deg: int, q_order: int) -> WJet:
     """The level-5 Appell jet on the certified window [-1, max_deg]."""
     if max_deg < 1 or q_order < 1:
         raise ValueError("max_deg and q_order must be >= 1")
     need_j = max_deg + 1 if (max_deg + 1) % 2 == 0 else max_deg + 2
-    if family is None:
-        family = mock_eisenstein_family(3, need_j, q_order)
-    elif family.k != 3 or family.max_j < max_deg + 1 or family.order < q_order:
-        raise ValueError("family must cover k=3, members to max_deg+1, and the q-order")
+    family = mock_eisenstein_family(3, need_j, q_order)
 
     exponent = build_jet(
         {

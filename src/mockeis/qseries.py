@@ -408,7 +408,6 @@ def partition_series(order: int) -> QSeries:
     return euler_product(order).inverse()
 
 
-@lru_cache(maxsize=None)
 def q_pochhammer(n: int, order: int) -> QSeries:
     """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated."""
     if n < 0:

@@ -102,14 +102,11 @@ def suite_counts(
 
 
 def suite_moments(
-    ks: Iterable[int] = DEFAULT_KS,
-    max_j: int = 10,
-    order: int = 40,
-    comb_order: int = 25,
-    comb_max_j: int = 6,
+    ks: Iterable[int] = DEFAULT_KS, max_j: int = 10, order: int = 40
 ) -> List[CheckResult]:
     """Rank-moment identities: two series routes, odd vanishing, and the
-    brute-force moments."""
+    brute-force moments through j = 6 at order 25."""
+    comb_order, comb_max_j = 25, 6
     results = []
     for k in ks:
         for j in range(2, max_j + 1, 2):
@@ -218,11 +215,11 @@ def suite_pattern(ks: Iterable[int] = DEFAULT_KS, max_j: int = 12) -> List[Check
     return results
 
 
-def suite_pde(max_deg: int = 7, q_order: int = 20) -> List[CheckResult]:
+def suite_pde(q_order: int = 20) -> List[CheckResult]:
     return [
         _zero_check(
-            f"pde: level-5 residual zero on window [-5, {max_deg}] at order {q_order}",
-            pde.pde_residual(max_deg, q_order),
+            f"pde: level-5 residual zero on window [-5, 7] at order {q_order}",
+            pde.pde_residual(7, q_order),
         )
     ]
 
@@ -289,8 +286,3 @@ def iter_suites(
     if unknown:
         raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
     yield SUITES[name](**{params[flag]: v for flag, v in given.items()})
-
-
-def run_suite(name: str, flags: Optional[Dict[str, object]] = None) -> List[CheckResult]:
-    """The results of one named suite (or 'all'), as one list; see :func:`iter_suites`."""
-    return [result for results in iter_suites(name, flags) for result in results]

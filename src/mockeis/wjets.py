@@ -60,18 +60,10 @@ class WJet:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "WJet") -> "WJet":
+        # Each max_deg is at least its own min_deg >= lo: the window is never empty.
         lo = min(self.min_deg, other.min_deg)
         hi = min(self.max_deg, other.max_deg)
-        if hi < lo:
-            raise WindowUnderflowError("sum has an empty certified window")
-        order = min(self.q_order, other.q_order)
-        zero = QSeries.zero(order)
-        out = []
-        for d in range(lo, hi + 1):
-            a = self.coeff(d).truncate(order) if d >= self.min_deg else zero
-            b = other.coeff(d).truncate(order) if d >= other.min_deg else zero
-            out.append(a + b)
-        return WJet(lo, out)
+        return WJet(lo, [self.coeff(d) + other.coeff(d) for d in range(lo, hi + 1)])
 
     def __neg__(self) -> "WJet":
         return WJet(self.min_deg, [-c for c in self.coeffs])
@@ -174,7 +166,7 @@ def reciprocal_two_sinh_half(max_deg: int, q_order: int) -> WJet:
     return rational_jet(inv, q_order, shift=-1)
 
 
-def jet_exp(a: WJet, max_deg: int | None = None) -> WJet:
+def jet_exp(a: WJet) -> WJet:
     """exp of a jet with certified window contained in degrees >= 1.
 
     Standard recurrence n b_n = sum_k k a_k b_{n-k} with q-series
@@ -183,10 +175,9 @@ def jet_exp(a: WJet, max_deg: int | None = None) -> WJet:
     if a.min_deg < 1:
         if not a.coeff(0).is_zero() or a.min_deg < 0:
             raise ConstantTermError("jet exp requires vanishing below degree 1")
-    top = a.max_deg if max_deg is None else min(max_deg, a.max_deg)
     order = a.q_order
     b = [QSeries.one(order)]
-    for n in range(1, top + 1):
+    for n in range(1, a.max_deg + 1):
         acc = QSeries.zero(order)
         for k in range(1, n + 1):
             ak = a.coeff(k)

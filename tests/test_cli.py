@@ -232,7 +232,7 @@ class TestVerifyCommand:
         assert "1/1 checks passed" in out
 
     def test_corrupted_oracle_fails(self, capsys, monkeypatch):
-        true_series = mockeis.functions.krank_count_series.__wrapped__
+        true_series = mockeis.functions.krank_count_series
 
         def corrupted(k, m, order):
             return true_series(k, m, order) + QSeries.monomial(1, min(2, order), order)
@@ -284,10 +284,9 @@ class TestVerifyCommand:
         ]
         n = len(lines)
         assert out == "\n".join(lines + [f"{n - 2}/{n} checks passed"]) + "\n"
-        assert verify.run_suite("all") == [
-            verify.CheckResult(f"{name} {i}", name != "crank")
+        assert list(verify.iter_suites("all")) == [
+            [verify.CheckResult(f"{name} {i}", name != "crank") for i in range(2)]
             for name in verify.SUITES
-            for i in range(2)
         ]
 
     def test_unknown_suite_is_usage_error(self, capsys):
@@ -320,7 +319,7 @@ class TestVerifyCommand:
 
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, recorder(name))
-        verify.run_suite("all", {"--k": (4,), "--maxj": None, "--order": 10})
+        list(verify.iter_suites("all", {"--k": (4,), "--maxj": None, "--order": 10}))
         k, order, q_order = {"ks": (4,)}, {"order": 10}, {"q_order": 10}
         assert seen == {
             "counts": k,
@@ -459,11 +458,12 @@ probe = Probe()
 """
 
 
-def mockeis_process(*argv, path=()):
+def mockeis_process(*argv, path=(), **popen):
     """``python -m mockeis argv`` with this checkout's package first on the path.
 
     stdout is block-buffered (no PYTHONUNBUFFERED), so what a command leaves
     in the buffer reaches the pipe only through the flush at exit.
+    ``popen`` overrides the keyword arguments of ``subprocess.Popen``.
     """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [*map(str, path), SRC, os.environ.get("PYTHONPATH")])
@@ -471,7 +471,7 @@ def mockeis_process(*argv, path=()):
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.Popen(
         [sys.executable, "-m", "mockeis", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "env": env, **popen},
     )
 
 
@@ -479,6 +479,16 @@ def run_mockeis(*argv, path=()):
     with mockeis_process(*argv, path=path) as proc:
         out, err = proc.communicate()
     return proc.returncode, out, err
+
+
+def run_without_stdout(*argv):
+    """(exit code, stderr) of ``python -m mockeis argv`` started with fd 1 closed.
+
+    The interpreter then sets ``sys.stdout`` to None.
+    """
+    with mockeis_process(*argv, stdout=None, preexec_fn=lambda: os.close(1)) as proc:
+        _, err = proc.communicate()
+    return proc.returncode, err
 
 
 class TestProcess:
@@ -508,6 +518,20 @@ class TestProcess:
             proc.stdout.close()
             err = proc.stderr.read()
         assert (proc.returncode, err) == (1, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ("f", "--k", "3", "--j", "2", "--order", "4"),
+        SMALL,
+        ("verify", "--suite", "theta-ode", "--order", "8"),
+    ], ids=["f", "table", "verify"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        assert run_without_stdout(*argv) == (1, b"")
+
+    def test_closed_stdout_still_writes_the_out_file(self, tmp_path):
+        target = tmp_path / "f.txt"
+        argv = ("f", "--k", "3", "--j", "2", "--order", "4", "--out", str(target))
+        assert run_without_stdout(*argv) == (0, b"")
+        assert target.read_text() == "-1/24 + q^3 + 3q^4\n"
 
     @pytest.mark.parametrize("argv, code, teardown", [
         (SMALL, 0, False),

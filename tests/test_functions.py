@@ -97,7 +97,36 @@ class TestTheta:
             theta_series(3, 1, 10)
 
 
+def paper_form_divisor_like_sum(a, b, ell, order):
+    """g_{a,b,ell} with both index conditions tested at every m n <= order."""
+    if ell == 0:
+        return QSeries.one(order)
+    if ell % 2:
+        return QSeries.zero(order)
+    coeffs = [0] * (order + 1)
+    for m in range(1, order + 1):
+        for n in range(1, order // m + 1):
+            if a * n - 1 >= b * m >= b:
+                coeffs[m * n] += (a * n - b * m) ** (ell - 1)
+            if m - 1 >= a * b * n >= a * b:
+                coeffs[m * n] -= (m - a * b * n) ** (ell - 1)
+    return QSeries(coeffs) + (1 - 2 ** (ell - 1)) * bernoulli(ell) / (2 * ell)
+
+
 class TestDivisorLikeSum:
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    @pytest.mark.parametrize("b", [1, 3, 5, 7, 9])
+    def test_matches_the_paper_form_double_loop(self, a, b):
+        for ell in range(13):
+            reference = paper_form_divisor_like_sum(a, b, ell, 60)
+            for order in range(61):
+                assert divisor_like_sum(a, b, ell, order) == reference.truncate(order)
+
+    @pytest.mark.parametrize("a, b", [(0, 5), (2, 0), (-1, 3), (2, -5)])
+    def test_needs_positive_a_and_b(self, a, b):
+        with pytest.raises(ValueError):
+            divisor_like_sum(a, b, 2, 10)
+
     def test_g_2_5_2(self):
         assert divisor_like_sum(2, 5, 2, 8) == QSeries(
             [F(-1, 24), 0, 0, 1, 3, 5, 7, 9, 11]

@@ -35,6 +35,20 @@ def random_jet(rng, min_deg, max_deg, q_order):
     return WJet(min_deg, coeffs)
 
 
+def padded_sum(a, b):
+    """a + b from both jets zero-padded below their windows and truncated to one q-order."""
+    lo = min(a.min_deg, b.min_deg)
+    hi = min(a.max_deg, b.max_deg)
+    order = min(a.q_order, b.q_order)
+    zero = QSeries.zero(order)
+    out = []
+    for d in range(lo, hi + 1):
+        x = a.coeff(d).truncate(order) if d >= a.min_deg else zero
+        y = b.coeff(d).truncate(order) if d >= b.min_deg else zero
+        out.append(x + y)
+    return WJet(lo, out)
+
+
 class TestJetArithmetic:
     def test_pole_times_monomial(self):
         prod = monomial_jet(-1, 5) * monomial_jet(1, 5)
@@ -71,6 +85,16 @@ class TestJetArithmetic:
         total = a + b
         assert (total.min_deg, total.max_deg) == (-1, 3)
         assert total.coeff(-1) == a.coeff(-1)
+
+    def test_add_matches_the_padded_sum(self):
+        rng = random.Random(10)
+        for a_lo, b_lo in ((0, 0), (-2, 1), (1, -1), (0, 3)):
+            for a_order, b_order in ((4, 4), (2, 5), (6, 0)):
+                a = random_jet(rng, a_lo, a_lo + 4, a_order)
+                b = random_jet(rng, b_lo, b_lo + 2, b_order)
+                for total, expected in ((a + b, padded_sum(a, b)), (b + a, padded_sum(b, a))):
+                    assert (total.min_deg, total.q_order) == (expected.min_deg, expected.q_order)
+                    assert total.coeffs == expected.coeffs
 
     def test_wderiv(self):
         jet = monomial_jet(-1, 4, 3)

@@ -267,6 +267,14 @@ class TestProductAgainstOracle:
             assert_matches_oracle(shifted, shifted)
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("order", [0, 1, 8])
+    def test_kernel_with_a_zero_operand(self, order):
+        # The other operand may be far wider than any struct word.
+        zero = (0,) * (order + 1)
+        for dense in (tuple(range(-3, order - 2)), (2**100,) * (order + 1)):
+            for a, b in ((zero, dense), (dense, zero), (zero, zero)):
+                assert qseries._kronecker_product(a, b) == zero
+
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_word_boundaries(self, n, monkeypatch):
         # max|a| * max|b| * n on either side of 2^e - 1, 2^e and 2^e + 1 for
