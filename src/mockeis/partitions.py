@@ -19,7 +19,7 @@ of ``partitions_of(n)`` for the crank and the rank.  For k >= 3 it is
 1-free partitions plus a closed form for the ones-tails: N_k(., n-1)
 shifted by one, plus what the partitions of n with no part 1 and, through
 their ones-tails, those of n-1 .. n-k+2 contribute, read from a cached
-tally that walks each 1-free partition's Durfee squares once.
+tally: that of n-1 shifted by one, plus a walk of those led by (p, p).
 :func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
 only read those histograms; ``crank``, ``rank``, ``k_rank``,
 ``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
@@ -32,8 +32,9 @@ import gc
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from functools import lru_cache, wraps
-from itertools import chain, islice, repeat
-from typing import Dict, Iterator, Tuple
+from itertools import chain, compress, islice, repeat
+from operator import add, itemgetter
+from typing import Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
 
@@ -74,7 +75,7 @@ def _partitions_led_by(p: int, n: int) -> Iterator[Partition]:
     """(p,) + mu over the partitions mu of n - p with first part <= p."""
     rest = partitions_of(n - p)  # reverse-lex: those led by <= p are a suffix
     start = bisect_left(rest, -p, key=lambda mu: -mu[0])
-    return map((p,).__add__, islice(rest, start, None))
+    return map(add, repeat((p,)), islice(rest, start, None))
 
 
 @lru_cache(maxsize=None)
@@ -138,10 +139,12 @@ def crank(parts: Partition) -> int:
         raise ConventionCaseError(
             "crank of (1) is defined only through the n = 1 counting convention"
         )
-    omega = sum(1 for p in parts if p == 1)
+    omega = parts.count(1)
     if omega == 0:
         return parts[0] if parts else 0
-    mu = sum(1 for p in parts if p > omega)
+    mu = 0  # parts > omega lead the tuple, and its last part 1 <= omega
+    while parts[mu] > omega:
+        mu += 1
     return mu - omega
 
 
@@ -187,28 +190,36 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     trailing empty entries are dropped.  An entry is the pair (sorted
     values, their counts), or () when empty: up to the ceiling these take
     36 KB for k = 3 (sys.getsizeof), against 99 KB as one (value, count)
-    tuple per value.  Each partition's squares are walked once, at most
-    k-1 of them.  The cache holds at most PARTITION_CEILING entries per k.
+    tuple per value.  Only mu[0] == mu[1] is walked; the rest is the tally
+    of n-1, shifted.  The cache holds at most PARTITION_CEILING entries per k.
     """
-    last = k - 1
-    ranks: Dict[int, int] = {}
-    tails: Dict[int, Dict[int, int]] = {}
-    for mu in partitions_of(n):
-        if mu[-1] == 1:
-            continue
+    parts = partitions_of(n)
+    # Top-row lemma: a 1-free mu with mu[0] > mu[1] (0 if absent) and mu[0] >= 3
+    # less one top-row cell is a 1-free partition of n-1 with the same squares
+    # (row 0 counts toward d1 = #{i : mu[i] > i} either way) and both values
+    # 1 lower (d_{k-1} >= 1); a top-row cell added to any such partition inverts
+    # it.  Left: (2,), and runs led by (p, p) from mu[0] <= p up to mu[1] < p.
+    shifted = _one_free_tally(k, n - 1) if n > 2 else ((),)
+    counts = [{v + 1: c for v, c in zip(*entry)} for entry in shifted]
+    runs = [((2,),)] if n == 2 else []
+    for p in range(n // 2, 1, -1):
+        start = bisect_left(parts, -p, key=lambda mu: -mu[0])
+        run = parts[start : bisect_left(parts, 1 - p, start, key=lambda mu: -mu[1])]
+        runs.append(compress(run, map((1).__lt__, map(itemgetter(-1), run))))
+    for mu in chain.from_iterable(runs):
         size = len(mu)
         # Every row is at least 2 long, so each square is at least 1.
         pos = 1
         while pos < size and mu[pos] > pos:
             pos += 1
         squares = 1
-        while pos < size and squares < last:
+        while pos < size and squares < k - 1:
             d = 1
             while pos + d < size and mu[pos + d] > d:
                 d += 1
             pos += d
             squares += 1
-        if squares == last:  # k >= 3, so the loop above ran and set d
+        if squares == k - 1:  # k >= 3, so the loop above ran and set d
             # d = d_{k-1}, the k-1 squares cover rows 0..pos-1, and d1 is the
             # first square's size.  Column c has length #{i : mu[i] > c},
             # which is <= d exactly when mu[d] <= c; mu[d] exists, as
@@ -217,14 +228,13 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
             # mu[d] >= d1 always: if d < d1, mu[d] >= mu[d1-1] >= d1; if
             # d = d1, row d1 starts the second square, of size d1.  No
             # conjugate is needed.
-            m = mu[0] - mu[d] - (size - pos)
-            ranks[m] = ranks.get(m, 0) + 1
+            entry, v = 0, mu[0] - mu[d] - (size - pos)
         else:
-            tail = tails.setdefault(squares, {})
-            v = mu[0] - (mu[1] if size > 1 else 1)
-            tail[v] = tail.get(v, 0) + 1
-    entries = [ranks, *(tails.get(s, {}) for s in range(1, max(tails, default=0) + 1))]
-    return tuple(tuple(zip(*sorted(counts.items()))) for counts in entries)
+            entry, v = squares, mu[0] - (mu[1] if size > 1 else 1)
+        if entry >= len(counts):
+            counts.extend({} for _ in range(len(counts), entry + 1))
+        counts[entry][v] = counts[entry].get(v, 0) + 1
+    return tuple(tuple(zip(*sorted(tally.items()))) for tally in counts)
 
 
 @lru_cache(maxsize=None)
@@ -253,10 +263,10 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
         # them.  If lam has at least k-1 squares, d_1, d_{k-1} and the columns
         # right of the first square stay, and one more part lies below the
         # (k-1)-th square: k-rank(lam + (1,)) = k-rank(lam) - 1.  That gives
-        # N_k(., n-1) shifted by -1.  New at n are the 1-free partitions with
-        # at least k-1 squares, and mu + 1^r for a 1-free mu of n-r with
-        # exactly s = k-1-r squares: its last square is a unit one, so its
-        # k-rank is mu[0] - mu[1] (mu[1] read as 1), and that of 1^(k-1) is 0.
+        # N_k(., n-1) shifted by -1.  New at n, from _one_free_tally, are the
+        # 1-free partitions with at least k-1 squares, mu + 1^r for a 1-free mu
+        # of n-r with exactly s = k-1-r squares (the last one a unit square, so
+        # k-rank mu[0] - mu[1], mu[1] read as 1), and 1^(k-1), of k-rank 0.
         counts = Counter({m - 1: c for m, c in statistic_histogram(k, n - 1)})
         counts.update(dict(zip(*_one_free_tally(k, n)[0])))
         for r in range(1, min(k - 1, n - 1)):  # 1-free partitions start at 2

@@ -104,6 +104,19 @@ class TestCrank:
         with pytest.raises(ConventionCaseError):
             crank((1,))
 
+    @given(partition_st)
+    def test_matches_the_two_pass_definition(self, lam):
+        assume(lam != (1,))
+        assert crank(lam) == _crank_two_pass(lam)
+
+
+def _crank_two_pass(parts) -> int:
+    """The crank read off its definition, one pass for omega and one for mu."""
+    omega = sum(1 for p in parts if p == 1)
+    if omega == 0:
+        return parts[0] if parts else 0
+    return sum(1 for p in parts if p > omega) - omega
+
 
 class TestAppendingAOne:
     # The lemma behind the k >= 3 histogram recurrence.
@@ -125,6 +138,31 @@ class TestAppendingAOne:
         assert len(durfee_sizes(lam)) == k - 1
         expected = mu[0] - (mu[1] if len(mu) > 1 else 1) if mu else 0
         assert k_rank(lam, k) == expected
+
+
+class TestRemovingATopRowCell:
+    # The lemma behind the recurrence of _one_free_tally in n.
+    @given(one_free_st)
+    def test_keeps_the_squares_and_lowers_the_k_rank_by_one(self, mu):
+        assume(mu and mu[0] >= 3 and mu[0] > (mu[1] if len(mu) > 1 else 0))
+        nu = (mu[0] - 1,) + mu[1:]
+        assert nu in partitions_of(sum(nu)) and 1 not in nu
+        squares = durfee_sizes(mu)
+        assert durfee_sizes(nu) == squares
+        for k in range(3, len(squares) + 2):  # mu has at least k-1 squares
+            assert k_rank(nu, k) == k_rank(mu, k) - 1
+
+    def test_walks_p_f_of_n_minus_p_f_of_n_minus_one(self):
+        # p_F(n) counts the 1-free partitions of n.  Shifted entries keep their
+        # counts, so the tally of n holds p_F(n) only if the walk at n covered
+        # exactly the partitions led by (p, p).
+        one_free = [[mu for mu in partitions_of(n) if 1 not in mu] for n in range(41)]
+        for n in range(3, PARTITION_CEILING + 1):
+            led_by_pairs = [mu for mu in one_free[n] if len(mu) > 1 and mu[0] == mu[1]]
+            assert len(led_by_pairs) == len(one_free[n]) - len(one_free[n - 1])
+            for k in (3, 5, 42):
+                entries = filter(None, _one_free_tally(k, n))
+                assert sum(sum(counts) for _, counts in entries) == len(one_free[n])
 
 
 class TestKRank:
@@ -253,6 +291,40 @@ def _k_rank_counts(parts, k) -> dict:
     return counts
 
 
+def _one_free_tally_scan(k, n):
+    """``_one_free_tally(k, n)`` from a scan of every partition of n.
+
+    The reference for the recurrence in n: it skips the partitions that end
+    in a part 1 and walks each other one's squares, at most k-1 of them.
+    """
+    last = k - 1
+    ranks: dict = {}
+    tails: dict = {}
+    for mu in partitions_of(n):
+        if mu[-1] == 1:
+            continue
+        size = len(mu)
+        pos = 1
+        while pos < size and mu[pos] > pos:
+            pos += 1
+        squares = 1
+        while pos < size and squares < last:
+            d = 1
+            while pos + d < size and mu[pos + d] > d:
+                d += 1
+            pos += d
+            squares += 1
+        if squares == last:
+            m = mu[0] - mu[d] - (size - pos)
+            ranks[m] = ranks.get(m, 0) + 1
+        else:
+            tail = tails.setdefault(squares, {})
+            v = mu[0] - (mu[1] if size > 1 else 1)
+            tail[v] = tail.get(v, 0) + 1
+    entries = [ranks, *(tails.get(s, {}) for s in range(1, max(tails, default=0) + 1))]
+    return tuple(tuple(zip(*sorted(counts.items()))) for counts in entries)
+
+
 class TestStatisticHistogram:
     @pytest.mark.parametrize("k", range(1, 8))
     def test_matches_the_definitional_statistics(self, k):
@@ -266,6 +338,11 @@ class TestStatisticHistogram:
         # k = 42: k-1 exceeds the squares of every partition there.
         for n in range(PARTITION_CEILING + 1):
             assert dict(statistic_histogram(k, n)) == _k_rank_counts(partitions_of(n), k)
+
+    @pytest.mark.parametrize("k", [*range(3, 13), 20, 41, 42])
+    def test_one_free_tally_matches_the_full_scan(self, k):
+        for n in range(1, PARTITION_CEILING + 1):
+            assert _one_free_tally(k, n) == _one_free_tally_scan(k, n)
 
     def test_one_free_tally_is_immutable_and_bounded(self):
         tally = _one_free_tally(3, 12)
