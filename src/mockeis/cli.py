@@ -80,7 +80,7 @@ def cmd_f(args: argparse.Namespace) -> int:
         if args.k == 2:
             payload["extrapolated"] = True
         _emit([json.dumps(payload) + "\n"], args.out)
-    elif args.fmt == "bfile":
+    else:
         from .bernoulli import bernoulli
         from .mock import first_fractional
 
@@ -93,8 +93,6 @@ def cmd_f(args: argparse.Namespace) -> int:
             )
         lines = "".join(f"{n} {c}\n" for n, c in enumerate(shifted.nums))
         _emit([lines], args.out)
-    else:
-        raise ConfigError(f"unknown format {args.fmt!r}")
     if args.k == 2:
         print(
             "note: k = 2 output is extrapolated beyond the verified range k >= 3",
@@ -152,7 +150,7 @@ def _table_moments(args: argparse.Namespace) -> str:
         raise ConfigError("--order must be >= 1")
     if args.k < 3:
         raise ConfigError("moment tables require k >= 3")
-    moment = fn.rank_moment(args.k, args.j, args.order, args.method or "direct")
+    moment = fn.rank_moment(args.k, args.j, args.order, args.method)
     coefficients = list(map(str, moment.series.coeffs))
     if args.fmt == "csv":
         lines = ["n,coefficient"]
@@ -221,10 +219,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         chunks = _table_nk(args)
     elif args.kind == "moments":
         chunks = [_table_moments(args)]
-    elif args.kind == "traces":
-        chunks = [_table_traces(args)]
     else:
-        raise ConfigError(f"unknown table kind {args.kind!r}")
+        chunks = [_table_traces(args)]
     _emit(chunks, args.out)
     return 0
 
@@ -239,8 +235,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "--maxm": args.max_m,
         "--order": args.order,
     }
-    if args.suite not in SUITE_CHOICES:
-        raise ConfigError(f"unknown suite {args.suite!r}")
+    if args.order is not None and args.order < 1:
+        raise ConfigError("--order must be >= 1")
+    for flag in ("--maxj", "--maxn", "--maxm"):
+        if flags[flag] is not None and flags[flag] < 0:
+            raise ConfigError(f"{flag} must be >= 0")
     total = failed = 0
     # Each suite's lines are printed as it finishes, so an error in a later
     # suite (exit 2) does not discard the results already computed.
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     t_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
     t_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
     t_parser.add_argument("--order", type=int, default=30)
-    t_parser.add_argument("--method", choices=RANK_METHODS, default=None)
+    t_parser.add_argument("--method", choices=RANK_METHODS, default="direct")
     t_parser.add_argument("--route", choices=ROUTES, default="recursionA")
     t_parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
                           default="csv")

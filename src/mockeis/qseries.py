@@ -20,17 +20,16 @@ operand are packed into one Python ``int`` as the value of the
 polynomial at 2^w, and one big-integer multiply does the whole
 convolution.  Every slot is wider than the bound max|a| * max|b| * (N + 1)
 on the product's coefficients, so no slot overflows into the next.  A
-product takes one of three paths, chosen by its operands:
+product takes one of two paths, chosen by its operands:
 
   * a factor with no nonzero coefficient past q^0 (a zero factor too)
     only scales the other factor's numerators: no convolution;
-  * a bound below 2^63: each slot is the narrowest word of 1, 2, 4 or 8
-    bytes that holds it, ``struct`` packs and unpacks the words in C, and
-    every slot of the product is offset by half its range, so that it
-    reads back unsigned;
-  * a larger bound: the slots are whole bytes, and each signed slot is
-    read back in Python with a borrow from each negative slot to the one
-    above.
+  * any other: Kronecker substitution with one slot format.  Each slot is
+    offset by half its range, so every slot of the product reads back
+    unsigned.  Below a bound of 2^63 the slot is the narrowest word of 1,
+    2, 4 or 8 bytes that holds it, and ``struct`` packs and unpacks the
+    words in C; from 2^63 on it is whole bytes, through ``int.to_bytes``
+    and ``int.from_bytes``.
 
 The product's denominator is the product of the two.  Nothing is
 approximated: the products equal those of the schoolbook convolution,
@@ -70,35 +69,8 @@ def _ratio(value) -> Tuple[int, int]:
     return c.numerator, c.denominator
 
 
-def _pack(values: tuple, width: int) -> int:
-    """sum_i values[i] * 256^(width * i), for |values[i]| < 256^width / 2."""
-    raw = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
-    packed = int.from_bytes(raw, "little")
-    # A negative slot reads as v + 256^width and has its top bit set: that
-    # bit, moved one place up, is the unit to take back off the slot above.
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
-    return packed - ((packed & top) << 1)
-
-
 # struct codes of the signed and unsigned little-endian words of each width.
 _WORD_CODES = {1: "bB", 2: "hH", 4: "iI", 8: "qQ"}
-
-
-def _word_product(a: tuple, b: tuple, width: int) -> tuple:
-    """_kronecker_product with slots of one struct word of 1, 2, 4 or 8 bytes.
-
-    Every |c_k| must be below h = 2^(8 * width - 1).
-    """
-    n = len(a)
-    signed, unsigned = _WORD_CODES[width]
-    # h in every slot: the top bits of the signed slots, as in _pack, and the
-    # offset that keeps each slot of the product in [0, 2h).
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    pa = int.from_bytes(pack(f"<{n}{signed}", *a), "little")
-    pb = int.from_bytes(pack(f"<{n}{signed}", *b), "little")
-    product = (pa - ((pa & top) << 1)) * (pb - ((pb & top) << 1)) + top
-    low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    return tuple(map((-1 << (8 * width - 1)).__add__, unpack(f"<{n}{unsigned}", low)))
 
 
 def _kronecker_product(a: tuple, b: tuple) -> tuple:
@@ -107,22 +79,30 @@ def _kronecker_product(a: tuple, b: tuple) -> tuple:
     bound = max(map(abs, a)) * max(map(abs, b)) * n
     if not bound:
         return (0,) * n
-    # Bytes per slot: every |c_k| <= bound < 2^(8 * width - 1).
+    # Bytes per slot: every |c_k| <= bound < h = 2^(8 * width - 1).  Up to 8
+    # bytes, the slot is the next struct word, packed and read in C.
     width = (bound.bit_length() + 8) // 8
-    if width <= 8:
-        # Up to 8 bytes, the next struct word: packed and read in C.
-        return _word_product(a, b, 1 << (width - 1).bit_length())
-    product = _pack(a, width) * _pack(b, width)
+    words = width <= 8
+    if words:
+        width = 1 << (width - 1).bit_length()
+        signed, unsigned = _WORD_CODES[width]
+        fmt = f"<{n}{signed}"
+        ra, rb = pack(fmt, *a), pack(fmt, *b)
+    else:
+        ra, rb = (b"".join([c.to_bytes(width, "little", signed=True) for c in v]) for v in (a, b))
+    # h in every slot.  A negative slot reads as c + 2h, with its top bit set:
+    # that bit, moved one place up, is the unit to take back off the slot
+    # above.  Adding h to every slot of the product puts each in [0, 2h), so
+    # that it reads back unsigned.
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    pa, pb = int.from_bytes(ra, "little"), int.from_bytes(rb, "little")
+    product = (pa - ((pa & top) << 1)) * (pb - ((pb & top) << 1)) + top
     low = (product & ((1 << (8 * width * n)) - 1)).to_bytes(width * n, "little")
-    out = []
-    borrow = 0
-    for i in range(0, width * n, width):
-        # Slot k reads c_k less the borrow from below; a negative slot
-        # borrows one from the slot above.
-        s = int.from_bytes(low[i : i + width], "little", signed=True)
-        out.append(s + borrow)
-        borrow = s < 0
-    return tuple(out)
+    if words:
+        slots = unpack(f"<{n}{unsigned}", low)
+    else:
+        slots = [int.from_bytes(low[i : i + width], "little") for i in range(0, width * n, width)]
+    return tuple(map((-1 << (8 * width - 1)).__add__, slots))
 
 
 class QSeries:
@@ -159,14 +139,16 @@ class QSeries:
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
-        return cls._of((0,) * (order + 1))
+        return cls.constant(0, order)
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls._of((1,) + (0,) * order)
+        return cls.constant(1, order)
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "QSeries":
+        if order < 0:
+            raise ValueError(f"negative truncation order {order}")
         p, q = _ratio(value)
         return cls._of((p,) + (0,) * order, q)
 
@@ -211,8 +193,8 @@ class QSeries:
         return Fraction(self.nums[n], self.den)
 
     def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} series to {order}")
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate an order {self.order} series to order {order}")
         if order == self.order:
             return self
         return QSeries._of(self.nums[: order + 1], self.den)

@@ -105,10 +105,19 @@ class TestFCommand:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_usage_error_exit_code(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("f", "--j", "2"),  # --k missing
+            ("f", "--k", "3", "--j", "2", "--format", "xml"),
+            ("table", "bogus", "--k", "3"),
+        ],
+    )
+    def test_usage_error_exit_code(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["f", "--j", "2"])  # --k missing
+            main(list(argv))
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_recursion_b_above_the_ceiling_fails_before_any_work(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -299,6 +308,13 @@ class TestVerifyCommand:
         [
             (("--suite", "theta-ode", "--k", "9"), ("--k",)),
             (("--suite", "pattern", "--order", "3", "--maxn", "5"), ("--maxn", "--order")),
+            # A size out of range, rejected before any suite runs.
+            (("--suite", "theta-ode", "--order", "-1"), ("--order",)),
+            (("--suite", "crank", "--order", "-1"), ("--order",)),
+            (("--suite", "pde", "--order", "0"), ("--order",)),
+            (("--suite", "moments", "--maxj", "-2"), ("--maxj",)),
+            (("--suite", "counts", "--maxn", "-1"), ("--maxn",)),
+            (("--suite", "all", "--maxm", "-1"), ("--maxm",)),
         ],
     )
     def test_flag_the_suite_does_not_take_is_usage_error(self, capsys, argv, named):

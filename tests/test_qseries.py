@@ -82,6 +82,22 @@ class TestBasics:
         with pytest.raises(IndexError):
             a.coeff(6)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QSeries.one(10).truncate(-3),
+            lambda: QSeries.one(10).truncate(-1),
+            lambda: QSeries.one(0).truncate(-1),
+            lambda: QSeries.one(10).truncate(11),
+            lambda: QSeries.zero(-1),
+            lambda: QSeries.one(-4),
+            lambda: QSeries.constant(F(1, 2), -1),
+        ],
+    )
+    def test_negative_or_extended_order_raises(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             QSeries([0.5])
@@ -279,13 +295,15 @@ class TestProductAgainstOracle:
     def test_word_boundaries(self, n, monkeypatch):
         # max|a| * max|b| * n on either side of 2^e - 1, 2^e and 2^e + 1 for
         # e = 7, 15, 31, 63: below 2^63 the product takes the narrowest struct
-        # word of 1, 2, 4 or 8 bytes that holds the bound, from 2^63 on byte slots.
-        word = qseries._word_product
+        # word of 1, 2, 4 or 8 bytes that holds the bound, from 2^63 on byte
+        # slots, whose 9/10- and 16/17-byte edges are e = 71 and 127.
+        pack = qseries.pack
+        code_bytes = {"b": 1, "h": 2, "i": 4, "q": 8}
         widths = []
         monkeypatch.setattr(
-            qseries, "_word_product", lambda a, b, w: widths.append(w) or word(a, b, w)
+            qseries, "pack", lambda fmt, *v: widths.append(code_bytes[fmt[-1]]) or pack(fmt, *v)
         )
-        for e in (7, 15, 31, 63):
+        for e in (7, 15, 31, 63, 71, 127):
             bounds = set()
             for target in (2**e - 1, 2**e, 2**e + 1):
                 for m in {target // n, -(-target // n)}:
@@ -311,7 +329,8 @@ class TestProductAgainstOracle:
                             expected = schoolbook_product(a.nums, b.nums)
                             assert qseries._kronecker_product(a.nums, b.nums) == expected
                             fits = [w for w in (1, 2, 4, 8) if bound < 2 ** (8 * w - 1)]
-                            assert widths == fits[:1]
+                            # One struct code per operand.
+                            assert widths == fits[:1] * 2
             assert min(bounds) < 2**e <= max(bounds)
             if n == 1:
                 assert {2**e - 1, 2**e, 2**e + 1} <= bounds
