@@ -1,8 +1,11 @@
 """Command-line front end: series tables, count tables, verification suites.
 
-Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or configuration error.  Rationals are always serialized as
-"num/den" strings, never as floats; identical configurations produce
+Exit codes: 0 success / all checks pass, 1 verification failure or a
+broken stdout pipe, 2 usage or configuration error: a flag the command or
+table kind does not take, a missing or out-of-range value, or an ``--out``
+file that cannot be written (opened only after the work, so a failing
+command never creates or truncates it).  Rationals are always serialized
+as "num/den" strings, never as floats; identical configurations produce
 byte-identical output.
 """
 
@@ -27,12 +30,16 @@ RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 def _emit(chunks, out: str | None) -> None:
     """Write the chunks in turn, to the --out file or to stdout.
 
+    A file that cannot be opened or written is a ``ConfigError`` (exit 2).
     A process started with stdout closed has no ``sys.stdout``; that is a
     reader gone before the first write, so it raises ``BrokenPipeError``.
     """
     if out:
-        with open(out, "w", encoding="ascii") as handle:
-            handle.writelines(chunks)
+        try:
+            with open(out, "w", encoding="ascii") as handle:
+                handle.writelines(chunks)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     elif sys.stdout is None:
         raise BrokenPipeError("stdout is closed")
     else:
@@ -40,7 +47,7 @@ def _emit(chunks, out: str | None) -> None:
 
 
 def _check_k(args: argparse.Namespace) -> None:
-    if args.k is None or args.k < 2:
+    if args.k < 2:
         raise ConfigError("--k must be an integer >= 2")
     if args.k == 2 and not args.allow_k2:
         raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
@@ -50,9 +57,9 @@ def _family_member(args: argparse.Namespace):
     from . import mock
     from .qseries import QSeries
 
-    if args.j is None or args.j < 1:
+    if args.j < 1:
         raise ConfigError("--j must be an integer >= 1")
-    if args.order is None or args.order < 1:
+    if args.order < 1:
         raise ConfigError("--order must be >= 1")
     if args.j % 2:
         return QSeries.zero(args.order)
@@ -101,8 +108,8 @@ def cmd_f(args: argparse.Namespace) -> int:
     return 0
 
 
-def _table_nk(args: argparse.Namespace):
-    """The table as text chunks, one per m, so that only one m's rows are held.
+def cmd_table_nk(args: argparse.Namespace) -> int:
+    """Write the table as text chunks, one per m, so that only one m's rows are held.
 
     The text is a head, the cells of every (m, n) joined by a separator,
     and a tail: the csv lines, or ``json.dumps`` of the payload whose
@@ -111,8 +118,6 @@ def _table_nk(args: argparse.Namespace):
     from .partitions import count_table
 
     _check_k(args)
-    if args.max_m is None or args.max_n is None:
-        raise ConfigError("table Nk needs --maxm and --maxn")
     table = count_table(args.k, args.max_m, args.max_n)
     if args.fmt == "csv":
         head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
@@ -137,51 +142,50 @@ def _table_nk(args: argparse.Namespace):
             yield rows if m == -args.max_m else sep + rows
         yield tail
 
-    return chunks()
+    _emit(chunks(), args.out)
+    return 0
 
 
-def _table_moments(args: argparse.Namespace) -> str:
+def _write_table(args: argparse.Namespace, head: str, rows, payload: dict) -> int:
+    """Write the rows as csv lines under ``head``, or ``payload`` as one JSON line."""
+    if args.fmt == "csv":
+        text = "\n".join([head, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    else:
+        import json
+
+        text = json.dumps(payload) + "\n"
+    _emit([text], args.out)
+    return 0
+
+
+def cmd_table_moments(args: argparse.Namespace) -> int:
     from . import functions as fn
 
-    _check_k(args)
-    if args.j is None or args.j < 0:
+    # rank_moment itself rejects k < 3 before any work.
+    if args.j < 0:
         raise ConfigError("table moments needs --j >= 0")
-    if args.order is None or args.order < 1:
+    if args.order < 1:
         raise ConfigError("--order must be >= 1")
-    if args.k < 3:
-        raise ConfigError("moment tables require k >= 3")
     moment = fn.rank_moment(args.k, args.j, args.order, args.method)
     coefficients = list(map(str, moment.series.coeffs))
-    if args.fmt == "csv":
-        lines = ["n,coefficient"]
-        lines.extend(f"{n},{c}" for n, c in enumerate(coefficients))
-        return "\n".join(lines) + "\n"
-    import json
-
-    payload = {
-        "object": "moment_series",
-        "k": args.k,
-        "j": args.j,
-        "order": args.order,
-        "method": moment.method,
-        "coefficients": coefficients,
-    }
-    return json.dumps(payload) + "\n"
+    payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
+               "method": moment.method, "coefficients": coefficients}
+    return _write_table(args, "n,coefficient", enumerate(coefficients), payload)
 
 
-def _table_traces(args: argparse.Namespace) -> str:
+def cmd_table_traces(args: argparse.Namespace) -> int:
     from . import mock
     from .partitions import PARTITION_CEILING
 
     _check_k(args)
-    if args.max_j is None or args.max_j < 0:
+    if args.max_j < 0:
         raise ConfigError("table traces needs --maxj >= 0")
     if args.max_j > PARTITION_CEILING:
         # Tr_j sums over the partitions of j; fail before building the family.
         raise WindowTooLargeError(
             f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
         )
-    if args.order is None or args.order < 1:
+    if args.order < 1:
         raise ConfigError("--order must be >= 1")
     family = mock.mock_eisenstein_family(
         args.k,
@@ -192,37 +196,15 @@ def _table_traces(args: argparse.Namespace) -> str:
     )
     monomials: dict = {}
     traces = {
-        j: list(
+        str(j): list(
             map(str, mock.partition_trace(j, family.member, args.order, "phi", monomials).coeffs)
         )
         for j in range(args.max_j + 1)
     }
-    if args.fmt == "csv":
-        lines = ["j,n,coefficient"]
-        for j, coefficients in traces.items():
-            lines.extend(f"{j},{n},{c}" for n, c in enumerate(coefficients))
-        return "\n".join(lines) + "\n"
-    import json
-
-    payload = {
-        "object": "trace_table",
-        "k": args.k,
-        "max_j": args.max_j,
-        "order": args.order,
-        "traces": {str(j): coefficients for j, coefficients in traces.items()},
-    }
-    return json.dumps(payload) + "\n"
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    if args.kind == "Nk":
-        chunks = _table_nk(args)
-    elif args.kind == "moments":
-        chunks = [_table_moments(args)]
-    else:
-        chunks = [_table_traces(args)]
-    _emit(chunks, args.out)
-    return 0
+    payload = {"object": "trace_table", "k": args.k, "max_j": args.max_j,
+               "order": args.order, "traces": traces}
+    rows = ((j, n, c) for j, coefficients in traces.items() for n, c in enumerate(coefficients))
+    return _write_table(args, "j,n,coefficient", rows, payload)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -265,6 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     f_parser = sub.add_parser("f", help="print one family member f_{k,j}")
+    f_parser.set_defaults(handler=cmd_f)
     f_parser.add_argument("--k", type=int, required=True)
     f_parser.add_argument("--j", type=int, required=True)
     f_parser.add_argument("--order", type=int, default=30)
@@ -274,22 +257,33 @@ def build_parser() -> argparse.ArgumentParser:
     f_parser.add_argument("--out", default=None)
     f_parser.add_argument("--allow-k2", action="store_true")
 
-    t_parser = sub.add_parser("table", help="emit count/moment/trace tables")
-    t_parser.add_argument("kind", choices=("Nk", "moments", "traces"))
-    t_parser.add_argument("--k", type=int, required=True)
-    t_parser.add_argument("--j", type=int, default=None)
-    t_parser.add_argument("--maxj", dest="max_j", type=int, default=None)
-    t_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
-    t_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
-    t_parser.add_argument("--order", type=int, default=30)
-    t_parser.add_argument("--method", choices=RANK_METHODS, default="direct")
-    t_parser.add_argument("--route", choices=ROUTES, default="recursionA")
-    t_parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                          default="csv")
-    t_parser.add_argument("--out", default=None)
-    t_parser.add_argument("--allow-k2", action="store_true")
+    # Each table kind takes these and its own flags, and no other kind's.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--k", type=int, required=True)
+    shared.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    shared.add_argument("--out", default=None)
+    kinds = sub.add_parser("table", help="emit count/moment/trace tables").add_subparsers(
+        dest="kind", required=True
+    )
+    nk = kinds.add_parser("Nk", parents=[shared], help="counts N_k(m, n)")
+    nk.set_defaults(handler=cmd_table_nk)
+    nk.add_argument("--maxm", dest="max_m", type=int, required=True)
+    nk.add_argument("--maxn", dest="max_n", type=int, required=True)
+    nk.add_argument("--allow-k2", action="store_true")
+    moments = kinds.add_parser("moments", parents=[shared], help="k-rank moment R_{k,j}")
+    moments.set_defaults(handler=cmd_table_moments)
+    moments.add_argument("--j", type=int, required=True)
+    moments.add_argument("--order", type=int, default=30)
+    moments.add_argument("--method", choices=RANK_METHODS, default="direct")
+    traces = kinds.add_parser("traces", parents=[shared], help="partition traces Tr_j")
+    traces.set_defaults(handler=cmd_table_traces)
+    traces.add_argument("--maxj", dest="max_j", type=int, required=True)
+    traces.add_argument("--order", type=int, default=30)
+    traces.add_argument("--route", choices=ROUTES, default="recursionA")
+    traces.add_argument("--allow-k2", action="store_true")
 
     v_parser = sub.add_parser("verify", help="run a verification suite")
+    v_parser.set_defaults(handler=cmd_verify)
     v_parser.add_argument("--suite", choices=SUITE_CHOICES, required=True)
     v_parser.add_argument("--k", type=int, default=None)
     v_parser.add_argument("--maxj", dest="max_j", type=int, default=None)
@@ -301,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"f": cmd_f, "table": cmd_table, "verify": cmd_verify}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,6 +135,27 @@ class TestFCommand:
             mock.mock_eisenstein_family(3, 42, 2, "recursionB")
 
 
+# The flags each table kind takes, and a value each table flag accepts (None: a
+# switch; --out is set to a path by each test).
+TABLE_FLAGS = {
+    "Nk": ("--k", "--maxm", "--maxn", "--format", "--out", "--allow-k2"),
+    "moments": ("--k", "--j", "--order", "--method", "--format", "--out"),
+    "traces": ("--k", "--maxj", "--order", "--route", "--format", "--out", "--allow-k2"),
+}
+TABLE_VALUES = {"--k": "3", "--maxm": "2", "--maxn": "3", "--j": "2", "--maxj": "2",
+                "--order": "5", "--method": "combinatorial", "--route": "logRoute",
+                "--format": "json", "--allow-k2": None}
+TABLE_REQUIRED = {
+    "Nk": ("--k", "3", "--maxm", "2", "--maxn", "3"),
+    "moments": ("--k", "3", "--j", "2", "--order", "5"),
+    "traces": ("--k", "3", "--maxj", "2", "--order", "5"),
+}
+FOREIGN_FLAGS = [
+    (kind, flag) for kind, flags in TABLE_FLAGS.items() for flag in TABLE_VALUES
+    if flag not in flags
+]
+
+
 class TestTableCommand:
     def test_nk_csv(self, capsys):
         code, out, _ = run_cli(
@@ -188,6 +209,44 @@ class TestTableCommand:
         assert (code, out) == (2, "")
         assert "ceiling 40" in err
 
+    @pytest.mark.parametrize("kind", TABLE_FLAGS)
+    def test_each_kind_takes_every_one_of_its_flags(self, capsys, tmp_path, kind):
+        target = tmp_path / "table.json"
+        values = {**TABLE_VALUES, "--out": str(target)}
+        argv = [token for flag in TABLE_FLAGS[kind] for token in (flag, values[flag]) if token]
+        assert run_cli(capsys, "table", kind, *argv) == (0, "", "")
+        assert json.loads(target.read_text())["k"] == 3
+
+    @pytest.mark.parametrize("kind, flag", FOREIGN_FLAGS)
+    def test_a_flag_of_another_kind_is_usage_error(self, capsys, kind, flag):
+        # e.g. table moments --k 3 --j 2 --order 5 --maxn 3
+        argv = ["table", kind, *TABLE_REQUIRED[kind], *filter(None, [flag, TABLE_VALUES[flag]])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+    @pytest.mark.parametrize("argv, missing", [
+        (("table", "Nk", "--k", "3", "--maxm", "2"), "--maxn"),
+        (("table", "Nk", "--maxm", "2", "--maxn", "3"), "--k"),
+        (("table", "moments", "--k", "3"), "--j"),
+        (("table", "traces", "--k", "3"), "--maxj"),
+        (("table",), "kind"),
+    ])
+    def test_a_missing_required_flag_is_usage_error(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"required: {missing}" in captured.err
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_moments_need_k_of_at_least_3(self, capsys, k):
+        code, out, err = run_cli(capsys, "table", "moments", "--k", k, "--j", "2")
+        assert (code, out) == (2, "")
+        assert "rank moments require k >= 3" in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1)])
     def test_nk_streams_the_bytes_of_the_whole_text(self, capsys, tmp_path, fmt, k, max_m, max_n):
@@ -213,6 +272,76 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, *argv, "--out", str(target))
         assert (code, out) == (0, "")
         assert target.read_text(encoding="ascii") == whole
+
+
+# One small command of each kind that writes an --out file.
+OUT_COMMANDS = {
+    "f": ("f", "--k", "3", "--j", "2", "--order", "2"),
+    "Nk": ("table", "Nk", *TABLE_REQUIRED["Nk"]),
+    "moments": ("table", "moments", *TABLE_REQUIRED["moments"]),
+    "traces": ("table", "traces", *TABLE_REQUIRED["traces"]),
+}
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("name", OUT_COMMANDS)
+    def test_an_unwritable_out_file_is_usage_error(self, capsys, tmp_path, name, where):
+        target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
+        argv = [*OUT_COMMANDS[name], "--out", str(target)]
+        parser_only = cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+        results = []
+        found = cyclic_garbage(lambda: results.append(run_cli(capsys, *argv)))
+        code, out, err = results[0]
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write --out {target}: ")
+        assert err.count("\n") == 1
+        assert found <= parser_only
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("name", OUT_COMMANDS)
+    def test_an_unwritable_out_file_exits_2_without_a_traceback(self, tmp_path, name):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_mockeis(*OUT_COMMANDS[name], "--out", str(target))
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: cannot write --out ")
+        assert err.count(b"\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("f", "--k", "2", "--j", "2", "--order", "4"),
+        ("table", "traces", "--k", "3", "--maxj", "41"),
+    ], ids=["k2", "ceiling"])
+    def test_a_failing_command_leaves_an_existing_out_file_untouched(self, capsys, tmp_path,
+                                                                      argv):
+        target = tmp_path / "kept.txt"
+        target.write_text("kept\n")
+        before = target.stat().st_mtime_ns
+        code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert target.read_text() == "kept\n"
+        assert target.stat().st_mtime_ns == before
+        assert run_mockeis(*argv, "--out", str(target))[0] == 2
+        assert target.read_text() == "kept\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CLI = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", [
+        line for line in README_CLI.splitlines() if line.startswith("mockeis ")
+    ])
+    def test_every_documented_command_runs(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split()[1:])
+        assert code == 0, err
+        assert out
+
+    def test_the_documented_output_is_printed(self, capsys):
+        command = "mockeis f --k 3 --j 2 --order 8 --format text"
+        code, out, _ = run_cli(capsys, *command.split()[1:])
+        assert code == 0
+        assert f"{command}\n# {out}" in README_CLI
 
 
 class TestVerifyCommand:

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mockeis import qseries
 from mockeis.bernoulli import bernoulli
@@ -14,6 +16,7 @@ from mockeis.errors import MissingMemberError
 from mockeis.functions import divisor_like_sum, rank_moment, theta_series
 from mockeis.mock import (
     MockFamily,
+    ROUTES,
     _WEIGHTS,
     crank_trace_residuals,
     eisenstein_members,
@@ -95,6 +98,20 @@ class TestRoutes:
     def test_unknown_route(self):
         with pytest.raises(ValueError):
             mock_eisenstein_family(3, 4, 8, "newton")
+
+    @given(
+        st.integers(3, 5),
+        st.sampled_from(ROUTES),
+        st.integers(1, 6).map(lambda half: 2 * half),
+        st.integers(1, 80).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_each_route_truncates_across_orders(self, k, route, j, orders):
+        # Built separately at both orders: each route's q^M prefix does not
+        # depend on the order it ran to.
+        m, n = orders
+        high = mock_eisenstein_family(k, j, n, route).member(j)
+        assert high.truncate(m) == mock_eisenstein_family(k, j, m, route).member(j)
 
 
 class TestTraces:
