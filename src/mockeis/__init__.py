@@ -14,8 +14,9 @@ from .bernoulli import bernoulli, bernoulli_poly
 _MODULE_OF = {
     name: module
     for module, names in (
-        ("functions", "MomentSeries crank_moment divisor_like_sum eisenstein "
-         "krank_count_series multisum_count_table rank_moment theta_deriv theta_series"),
+        ("divisor", "divisor_like_sum eisenstein"),
+        ("functions", "MomentSeries crank_moment krank_count_series multisum_count_table "
+         "rank_moment theta_deriv theta_series"),
         ("mock", "MockFamily crank_trace_residuals eisenstein_members integrality_check "
          "leading_pattern_check mock_eisenstein_family partition_trace phi_weight "
          "psi_weight trace_identity_residuals"),

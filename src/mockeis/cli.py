@@ -2,11 +2,11 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure or a
 broken stdout pipe, 2 usage or configuration error: a flag the command or
-table kind does not take, a missing or out-of-range value, or an ``--out``
-file that cannot be written (opened only after the work, so a failing
-command never creates or truncates it).  Rationals are always serialized
-as "num/den" strings, never as floats; identical configurations produce
-byte-identical output.
+table kind does not take, a missing or out-of-range value, an empty
+``--out``, or an ``--out`` file that cannot be written (opened only after
+the work, so a failing command never creates or truncates it).  Rationals
+are always serialized as "num/den" strings, never as floats; identical
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import gc
 import os
 import sys
 
-from .errors import ConfigError, WindowTooLargeError
+from .errors import ConfigError
 
 # The choices of the parser, spelled out so that building it imports no
 # computing module; the tests check them against the modules' own tuples.
@@ -108,105 +108,6 @@ def cmd_f(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_table_nk(args: argparse.Namespace) -> int:
-    """Write the table as text chunks, one per m, so that only one m's rows are held.
-
-    The text is a head, the cells of every (m, n) joined by a separator,
-    and a tail: the csv lines, or ``json.dumps`` of the payload whose
-    ``entries`` are the [m, n, count] lists.
-    """
-    from .partitions import count_table
-
-    _check_k(args)
-    table = count_table(args.k, args.max_m, args.max_n)
-    if args.fmt == "csv":
-        head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
-    else:
-        import json
-
-        payload = {
-            "object": "count_table",
-            "k": args.k,
-            "max_abs_m": args.max_m,
-            "max_n": args.max_n,
-            "entries": [],
-        }
-        head = json.dumps(payload)[: -len("]}")]
-        cell, sep, tail = "[{}, {}, {}]", ", ", "]}\n"
-    ns = range(args.max_n + 1)
-
-    def chunks():
-        yield head
-        for m in range(-args.max_m, args.max_m + 1):
-            rows = sep.join(cell.format(m, n, table.count(m, n)) for n in ns)
-            yield rows if m == -args.max_m else sep + rows
-        yield tail
-
-    _emit(chunks(), args.out)
-    return 0
-
-
-def _write_table(args: argparse.Namespace, head: str, rows, payload: dict) -> int:
-    """Write the rows as csv lines under ``head``, or ``payload`` as one JSON line."""
-    if args.fmt == "csv":
-        text = "\n".join([head, *(",".join(map(str, row)) for row in rows)]) + "\n"
-    else:
-        import json
-
-        text = json.dumps(payload) + "\n"
-    _emit([text], args.out)
-    return 0
-
-
-def cmd_table_moments(args: argparse.Namespace) -> int:
-    from . import functions as fn
-
-    # rank_moment itself rejects k < 3 before any work.
-    if args.j < 0:
-        raise ConfigError("table moments needs --j >= 0")
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    moment = fn.rank_moment(args.k, args.j, args.order, args.method)
-    coefficients = list(map(str, moment.series.coeffs))
-    payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
-               "method": moment.method, "coefficients": coefficients}
-    return _write_table(args, "n,coefficient", enumerate(coefficients), payload)
-
-
-def cmd_table_traces(args: argparse.Namespace) -> int:
-    from . import mock
-    from .partitions import PARTITION_CEILING
-
-    _check_k(args)
-    if args.max_j < 0:
-        raise ConfigError("table traces needs --maxj >= 0")
-    if args.max_j > PARTITION_CEILING:
-        # Tr_j sums over the partitions of j; fail before building the family.
-        raise WindowTooLargeError(
-            f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
-        )
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    family = mock.mock_eisenstein_family(
-        args.k,
-        max(2, args.max_j + (args.max_j % 2)),
-        args.order,
-        args.route,
-        allow_k2=args.allow_k2,
-    )
-    monomials: dict = {}
-    traces = {
-        str(j): list(
-            map(str, mock.partition_trace(j, family.member, args.order, "phi", monomials).coeffs)
-        )
-        for j in range(args.max_j + 1)
-    }
-    payload = {"object": "trace_table", "k": args.k, "max_j": args.max_j,
-               "order": args.order, "traces": traces}
-    rows = ((j, n, c) for j, coefficients in traces.items() for n, c in enumerate(coefficients))
-    return _write_table(args, "j,n,coefficient", rows, payload)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
@@ -238,7 +139,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given ``argv``, only the subcommand and table kind
+    it names (the first tokens not starting with "-") get their flags: argparse
+    reads no other subparser's, so ``argv`` parses and fails as with all flags."""
+    named = None if argv is None else [arg for arg in argv if not arg.startswith("-")]
+
+    def wanted(*path: str) -> bool:
+        return named is None or named[: len(path)] == list(path)
+
     parser = argparse.ArgumentParser(
         prog="mockeis",
         description="Exact q-series computations for k-rank moments and their "
@@ -247,55 +156,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     f_parser = sub.add_parser("f", help="print one family member f_{k,j}")
-    f_parser.set_defaults(handler=cmd_f)
-    f_parser.add_argument("--k", type=int, required=True)
-    f_parser.add_argument("--j", type=int, required=True)
-    f_parser.add_argument("--order", type=int, default=30)
-    f_parser.add_argument("--route", choices=ROUTES, default="recursionA")
-    f_parser.add_argument("--format", dest="fmt", choices=("text", "json", "bfile"),
-                          default="text")
-    f_parser.add_argument("--out", default=None)
-    f_parser.add_argument("--allow-k2", action="store_true")
+    if wanted("f"):
+        f_parser.set_defaults(handler=cmd_f)
+        f_parser.add_argument("--k", type=int, required=True)
+        f_parser.add_argument("--j", type=int, required=True)
+        f_parser.add_argument("--order", type=int, default=30)
+        f_parser.add_argument("--route", choices=ROUTES, default="recursionA")
+        f_parser.add_argument("--format", dest="fmt", choices=("text", "json", "bfile"),
+                              default="text")
+        f_parser.add_argument("--out", default=None)
+        f_parser.add_argument("--allow-k2", action="store_true")
 
-    # Each table kind takes these and its own flags, and no other kind's.
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--k", type=int, required=True)
-    shared.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    shared.add_argument("--out", default=None)
-    kinds = sub.add_parser("table", help="emit count/moment/trace tables").add_subparsers(
-        dest="kind", required=True
-    )
-    nk = kinds.add_parser("Nk", parents=[shared], help="counts N_k(m, n)")
-    nk.set_defaults(handler=cmd_table_nk)
-    nk.add_argument("--maxm", dest="max_m", type=int, required=True)
-    nk.add_argument("--maxn", dest="max_n", type=int, required=True)
-    nk.add_argument("--allow-k2", action="store_true")
-    moments = kinds.add_parser("moments", parents=[shared], help="k-rank moment R_{k,j}")
-    moments.set_defaults(handler=cmd_table_moments)
-    moments.add_argument("--j", type=int, required=True)
-    moments.add_argument("--order", type=int, default=30)
-    moments.add_argument("--method", choices=RANK_METHODS, default="direct")
-    traces = kinds.add_parser("traces", parents=[shared], help="partition traces Tr_j")
-    traces.set_defaults(handler=cmd_table_traces)
-    traces.add_argument("--maxj", dest="max_j", type=int, required=True)
-    traces.add_argument("--order", type=int, default=30)
-    traces.add_argument("--route", choices=ROUTES, default="recursionA")
-    traces.add_argument("--allow-k2", action="store_true")
+    table = sub.add_parser("table", help="emit count/moment/trace tables")
+    if wanted("table"):
+        from . import tables
+
+        kinds = table.add_subparsers(dest="kind", required=True)
+        nk = kinds.add_parser("Nk", help="counts N_k(m, n)")
+        moments = kinds.add_parser("moments", help="k-rank moment R_{k,j}")
+        traces = kinds.add_parser("traces", help="partition traces Tr_j")
+        # Each table kind takes these and its own flags, and no other kind's.
+        for kind, kind_parser in (("Nk", nk), ("moments", moments), ("traces", traces)):
+            if wanted("table", kind):
+                kind_parser.add_argument("--k", type=int, required=True)
+                kind_parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                                         default="csv")
+                kind_parser.add_argument("--out", default=None)
+        if wanted("table", "Nk"):
+            nk.set_defaults(handler=tables.cmd_table_nk)
+            nk.add_argument("--maxm", dest="max_m", type=int, required=True)
+            nk.add_argument("--maxn", dest="max_n", type=int, required=True)
+            nk.add_argument("--allow-k2", action="store_true")
+        if wanted("table", "moments"):
+            moments.set_defaults(handler=tables.cmd_table_moments)
+            moments.add_argument("--j", type=int, required=True)
+            moments.add_argument("--order", type=int, default=30)
+            moments.add_argument("--method", choices=RANK_METHODS, default="direct")
+        if wanted("table", "traces"):
+            traces.set_defaults(handler=tables.cmd_table_traces)
+            traces.add_argument("--maxj", dest="max_j", type=int, required=True)
+            traces.add_argument("--order", type=int, default=30)
+            traces.add_argument("--route", choices=ROUTES, default="recursionA")
+            traces.add_argument("--allow-k2", action="store_true")
 
     v_parser = sub.add_parser("verify", help="run a verification suite")
-    v_parser.set_defaults(handler=cmd_verify)
-    v_parser.add_argument("--suite", choices=SUITE_CHOICES, required=True)
-    v_parser.add_argument("--k", type=int, default=None)
-    v_parser.add_argument("--maxj", dest="max_j", type=int, default=None)
-    v_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
-    v_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
-    v_parser.add_argument("--order", type=int, default=None)
+    if wanted("verify"):
+        v_parser.set_defaults(handler=cmd_verify)
+        v_parser.add_argument("--suite", choices=SUITE_CHOICES, required=True)
+        v_parser.add_argument("--k", type=int, default=None)
+        v_parser.add_argument("--maxj", dest="max_j", type=int, default=None)
+        v_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
+        v_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
+        v_parser.add_argument("--order", type=int, default=None)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":
+            raise ConfigError("--out needs a file name")
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

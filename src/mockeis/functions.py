@@ -9,45 +9,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, isqrt
 
 from . import partitions as pt
 from .bernoulli import bernoulli
+# Defined in divisor, so that `f` need not compile this module; bound here too.
+from .divisor import divisor_like_sum, eisenstein, sigma_power
 from .errors import FractionalExponentError, WindowTooLargeError
 from .qseries import QSeries, partition_series, q_pochhammer
 from .wjets import WJet, build_jet, jet_exp, rational_jet, two_sinh_half_over_w
 
 RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 CRANK_METHODS = ("combinatorial", "eisenstein")
-
-
-def sigma_power(n: int, e: int) -> int:
-    """Divisor power sum sigma_e(n) = sum_{d | n} d^e."""
-    if n < 1:
-        raise ValueError("divisor sums need n >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**e
-            other = n // d
-            if other != d:
-                total += other**e
-    return total
-
-
-@lru_cache(maxsize=None)
-def eisenstein(weight: int, order: int) -> QSeries:
-    """G_weight = -B_weight/(2*weight) + sum_n sigma_{weight-1}(n) q^n.
-
-    Odd weights give the zero series, so trace code can iterate uniformly.
-    """
-    if weight < 1:
-        raise ValueError("Eisenstein weight must be >= 1")
-    if weight % 2:
-        return QSeries.zero(order)
-    sigmas = QSeries._of([0] + [sigma_power(n, weight - 1) for n in range(1, order + 1)])
-    return sigmas - bernoulli(weight) / (2 * weight)
 
 
 def _theta_terms(a: int, b: int, order: int):
@@ -91,38 +64,6 @@ def theta_deriv(a: int, b: int, m: int, order: int) -> QSeries:
     for n, h in _theta_terms(a, b, order):
         coeffs[h] += (-1) ** (n & 1) * (2 * h) ** m
     return QSeries._of(coeffs)
-
-
-@lru_cache(maxsize=None)
-def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
-    """The two-parameter divisor-like lattice sum g_{a,b,ell}.
-
-    g_{a,b,0} = 1 and g_{a,b,ell} = 0 for odd ell.  For even ell:
-
-        (1 - 2^{ell-1}) B_ell/(2 ell)
-          + sum_{a n - 1 >= b m >= b} (a n - b m)^{ell-1} q^{m n}
-          - sum_{m - 1 >= a b n >= a b} (m - a b n)^{ell-1} q^{m n},
-
-    truncated by m n <= order, for positive integers a and b.
-    """
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    if a < 1 or b < 1:
-        raise ValueError("divisor-like sums need positive a and b")
-    if ell == 0:
-        return QSeries.one(order)
-    if ell % 2:
-        return QSeries.zero(order)
-    coeffs = [0] * (order + 1)
-    # First set: m >= 1 and n >= (b m + 1)/a, so b m^2 < a m n <= a order.
-    for m in range(1, isqrt(a * order // b) + 1):
-        for n in range((b * m + a) // a, order // m + 1):
-            coeffs[m * n] += (a * n - b * m) ** (ell - 1)
-    # Second set: n >= 1 and m >= a b n + 1, so a b n^2 < m n <= order.
-    for n in range(1, isqrt(order // (a * b)) + 1):
-        for m in range(a * b * n + 1, order // n + 1):
-            coeffs[m * n] -= (m - a * b * n) ** (ell - 1)
-    return QSeries._of(coeffs) + (1 - 2 ** (ell - 1)) * bernoulli(ell) / (2 * ell)
 
 
 def krank_count_series(k: int, m: int, order: int) -> QSeries:

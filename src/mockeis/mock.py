@@ -32,8 +32,8 @@ from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import functions as fn
 from .bernoulli import bernoulli
+from .divisor import divisor_like_sum, eisenstein
 from .errors import MissingMemberError, WindowTooLargeError
 from .partitions import PARTITION_CEILING, partitions_of
 from .qseries import QSeries, partition_series
@@ -111,7 +111,7 @@ def eisenstein_members(order: int) -> Members:
     def member(j: int) -> QSeries:
         if j < 1:
             raise MissingMemberError("Eisenstein members start at weight 1")
-        return fn.eisenstein(j, order)
+        return eisenstein(j, order)
 
     return member
 
@@ -147,7 +147,7 @@ class MockFamily(namedtuple("MockFamily", "k max_j order route extrapolated memb
 
 def _g_sums(k: int, max_j: int, order: int) -> Dict[int, QSeries]:
     return {
-        ell: fn.divisor_like_sum(2, 2 * k - 1, ell, order)
+        ell: divisor_like_sum(2, 2 * k - 1, ell, order)
         for ell in range(2, max_j + 1, 2)
     }
 
@@ -278,6 +278,8 @@ def trace_identity_residuals(k: int, max_j: int, order: int) -> List[QSeries]:
     The theta shift on the w^0 coefficient makes the identity exact;
     without it the two sides already differ at q^{k-1}.
     """
+    from . import functions as fn
+
     if max_j % 2:
         raise ValueError("max_j must be even")
     fam = mock_eisenstein_family(k, max(max_j, 2), order)
@@ -292,6 +294,8 @@ def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
         sum_j C_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, G) w^j
 
     with C_j from enumeration and G the Eisenstein family."""
+    from . import functions as fn
+
     if max_j % 2:
         raise ValueError("max_j must be even")
     moments = [

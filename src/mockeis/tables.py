@@ -1,0 +1,108 @@
+"""The handlers of ``mockeis table``: count, moment and trace tables.  Only
+:func:`mockeis.cli.build_parser` for a ``table`` command imports them."""
+
+from __future__ import annotations
+
+import argparse
+
+from .cli import _check_k, _emit
+from .errors import ConfigError, WindowTooLargeError
+
+
+def cmd_table_nk(args: argparse.Namespace) -> int:
+    """Write the table as text chunks, one per m, so that only one m's rows are held.
+
+    The text is a head, the cells of every (m, n) joined by a separator,
+    and a tail: the csv lines, or ``json.dumps`` of the payload whose
+    ``entries`` are the [m, n, count] lists.
+    """
+    from .partitions import count_table
+
+    _check_k(args)
+    table = count_table(args.k, args.max_m, args.max_n)
+    if args.fmt == "csv":
+        head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
+    else:
+        import json
+
+        payload = {
+            "object": "count_table",
+            "k": args.k,
+            "max_abs_m": args.max_m,
+            "max_n": args.max_n,
+            "entries": [],
+        }
+        head = json.dumps(payload)[: -len("]}")]
+        cell, sep, tail = "[{}, {}, {}]", ", ", "]}\n"
+    ns = range(args.max_n + 1)
+
+    def chunks():
+        yield head
+        for m in range(-args.max_m, args.max_m + 1):
+            rows = sep.join(cell.format(m, n, table.count(m, n)) for n in ns)
+            yield rows if m == -args.max_m else sep + rows
+        yield tail
+
+    _emit(chunks(), args.out)
+    return 0
+
+
+def _write_table(args: argparse.Namespace, head: str, rows, payload: dict) -> int:
+    """Write the rows as csv lines under ``head``, or ``payload`` as one JSON line."""
+    if args.fmt == "csv":
+        text = "\n".join([head, *(",".join(map(str, row)) for row in rows)]) + "\n"
+    else:
+        import json
+
+        text = json.dumps(payload) + "\n"
+    _emit([text], args.out)
+    return 0
+
+
+def cmd_table_moments(args: argparse.Namespace) -> int:
+    from . import functions as fn
+
+    # rank_moment itself rejects k < 3 before any work.
+    if args.j < 0:
+        raise ConfigError("table moments needs --j >= 0")
+    if args.order < 1:
+        raise ConfigError("--order must be >= 1")
+    moment = fn.rank_moment(args.k, args.j, args.order, args.method)
+    coefficients = list(map(str, moment.series.coeffs))
+    payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
+               "method": moment.method, "coefficients": coefficients}
+    return _write_table(args, "n,coefficient", enumerate(coefficients), payload)
+
+
+def cmd_table_traces(args: argparse.Namespace) -> int:
+    from . import mock
+    from .partitions import PARTITION_CEILING
+
+    _check_k(args)
+    if args.max_j < 0:
+        raise ConfigError("table traces needs --maxj >= 0")
+    if args.max_j > PARTITION_CEILING:
+        # Tr_j sums over the partitions of j; fail before building the family.
+        raise WindowTooLargeError(
+            f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
+        )
+    if args.order < 1:
+        raise ConfigError("--order must be >= 1")
+    family = mock.mock_eisenstein_family(
+        args.k,
+        max(2, args.max_j + (args.max_j % 2)),
+        args.order,
+        args.route,
+        allow_k2=args.allow_k2,
+    )
+    monomials: dict = {}
+    traces = {
+        str(j): list(
+            map(str, mock.partition_trace(j, family.member, args.order, "phi", monomials).coeffs)
+        )
+        for j in range(args.max_j + 1)
+    }
+    payload = {"object": "trace_table", "k": args.k, "max_j": args.max_j,
+               "order": args.order, "traces": traces}
+    rows = ((j, n, c) for j, coefficients in traces.items() for n, c in enumerate(coefficients))
+    return _write_table(args, "j,n,coefficient", rows, payload)

@@ -136,12 +136,7 @@ def rational_jet(wseries: QSeries, q_order: int, shift: int = 0) -> WJet:
 def exp_cw(c, max_deg: int, q_order: int) -> WJet:
     """The jet of e^{c w} = sum_k c^k w^k / k! through w^max_deg."""
     c = Fraction(c)
-    coeffs = []
-    power = Fraction(1)
-    for k in range(max_deg + 1):
-        coeffs.append(QSeries.constant(power / factorial(k), q_order))
-        power *= c
-    return WJet(0, coeffs)
+    return rational_jet(QSeries([c**k / factorial(k) for k in range(max_deg + 1)]), q_order)
 
 
 def two_sinh_half_over_w(max_deg: int) -> QSeries:

@@ -13,6 +13,7 @@ from types import ModuleType
 import pytest
 
 import mockeis
+import mockeis.divisor
 import mockeis.functions
 from mockeis import cli, mock, verify
 from mockeis.cli import main
@@ -289,7 +290,7 @@ class TestOutFile:
     def test_an_unwritable_out_file_is_usage_error(self, capsys, tmp_path, name, where):
         target = tmp_path / "missing" / "x" if where == "missing-directory" else tmp_path
         argv = [*OUT_COMMANDS[name], "--out", str(target)]
-        parser_only = cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+        parser_only = cyclic_garbage(lambda: cli.build_parser(argv).parse_args(argv))
         results = []
         found = cyclic_garbage(lambda: results.append(run_cli(capsys, *argv)))
         code, out, err = results[0]
@@ -298,6 +299,12 @@ class TestOutFile:
         assert err.count("\n") == 1
         assert found <= parser_only
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("name", OUT_COMMANDS)
+    def test_an_empty_out_is_usage_error(self, capsys, name):
+        assert run_cli(capsys, *OUT_COMMANDS[name], "--out", "") == (
+            2, "", "error: --out needs a file name\n"
+        )
 
     @pytest.mark.parametrize("name", OUT_COMMANDS)
     def test_an_unwritable_out_file_exits_2_without_a_traceback(self, tmp_path, name):
@@ -322,6 +329,60 @@ class TestOutFile:
         assert target.stat().st_mtime_ns == before
         assert run_mockeis(*argv, "--out", str(target))[0] == 2
         assert target.read_text() == "kept\n"
+
+
+# (command, its required flags, a flag of another command or kind, an invalid choice)
+PARSER_SHAPES = [
+    ("f", "--k 3 --j 2", "--maxm 2", "--route bogus"),
+    ("table Nk", "--k 3 --maxm 2 --maxn 3", "--j 2", "--format text"),
+    ("table moments", "--k 3 --j 2", "--maxn 3", "--method bogus"),
+    ("table traces", "--k 3 --maxj 2", "--method direct", "--route bogus"),
+    ("verify", "--suite counts", "--route recursionA", "--suite bogus"),
+    ("", "", "--k 3", "bogus"),
+    ("table", "", "--k 3", "bogus"),
+]
+
+
+def parse_outcome(capsys, parser, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def flags_by_parser(parser, path=()):
+    """The option strings of every parser in the tree, by its path of names."""
+    found = {path: {flag for action in parser._actions for flag in action.option_strings}}
+    for action in parser._actions:
+        if isinstance(action.choices, dict):  # the subparsers
+            for name, child in action.choices.items():
+                found.update(flags_by_parser(child, (*path, name)))
+    return found
+
+
+class TestParserForArgv:
+    @pytest.mark.parametrize("argv", [
+        argv.split()
+        for command, required, foreign, invalid in PARSER_SHAPES
+        for argv in (f"{command} --help", command, f"{command} {required} {foreign}",
+                     f"{command} {required} {invalid}")
+    ] + [  # an option before the names: argparse still parses the command's flags
+        "--bogus f --k 3 --j 2".split(), "table --bogus Nk --k 3 --maxm 2 --maxn 3".split(),
+    ], ids=" ".join)
+    def test_it_parses_argv_as_the_whole_parser_does(self, capsys, argv):
+        outcome = parse_outcome(capsys, cli.build_parser(argv), argv)
+        assert outcome == parse_outcome(capsys, cli.build_parser(), argv)
+        assert outcome[0] == (0 if "--help" in argv else 2)
+
+    @pytest.mark.parametrize("command, required", [shape[:2] for shape in PARSER_SHAPES[:5]])
+    def test_only_the_named_parsers_get_flags(self, command, required):
+        argv = f"{command} {required}".split()
+        whole, built = flags_by_parser(cli.build_parser()), flags_by_parser(cli.build_parser(argv))
+        named = {tuple(argv[:n]) for n in range(len(command.split()) + 1)}
+        assert set(built) <= set(whole)
+        for path, flags in built.items():
+            assert flags == (whole[path] if path in named else {"-h", "--help"}), path
+        assert cli.build_parser(argv).parse_args(argv) == cli.build_parser().parse_args(argv)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -530,6 +591,25 @@ class TestImportScope:
         assert "mockeis.mock" in loaded
         assert not {"mockeis.verify", "mockeis.pde", "dataclasses", "json"} & loaded
 
+    @pytest.mark.parametrize("option", [*(("--route", route) for route in cli.ROUTES),
+                                        ("--format", "bfile")])
+    def test_f_loads_neither_functions_nor_tables(self, option):
+        loaded = loaded_by("f", "--k", "3", "--j", "4", "--order", "6", *option)
+        assert "mockeis.divisor" in loaded
+        assert not {"mockeis.functions", "mockeis.tables"} & loaded
+
+    def test_verify_loads_no_tables(self):
+        loaded = loaded_by("verify", "--suite", "all")
+        assert "mockeis.functions" in loaded
+        assert "mockeis.tables" not in loaded
+
+    @pytest.mark.parametrize("name", ["divisor_like_sum", "eisenstein"])
+    def test_the_divisor_sums_are_one_object_in_every_module(self, name):
+        # So a hook on functions.divisor_like_sum, which wraps every binding
+        # of the object, also spans the family's calls through mock.
+        assert getattr(mock, name) is getattr(mockeis.functions, name)
+        assert getattr(mock, name) is getattr(mockeis.divisor, name)
+
     def test_nk_csv_loads_no_series_module(self):
         loaded = loaded_by("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "5",
                            "--format", "csv")
@@ -567,6 +647,9 @@ class TestLazyPackage:
             "assert 'mockeis.qseries' not in sys.modules\n"
             "from mockeis import QSeries\n"
             "assert QSeries is sys.modules['mockeis.qseries'].QSeries\n"
+            "from mockeis import divisor_like_sum, eisenstein\n"
+            "assert divisor_like_sum is sys.modules['mockeis.divisor'].divisor_like_sum\n"
+            "assert eisenstein is sys.modules['mockeis.divisor'].eisenstein\n"
             "assert 'mockeis.functions' not in sys.modules\n"
             "import mockeis.functions\n"
             "from mockeis import bernoulli\n"
@@ -770,7 +853,7 @@ class TestGarbageCollectorPolicy:
     def test_a_command_leaves_no_more_cycles_than_its_parser(self, command, code):
         # What keeps memory bounded in a CLI process, which never collects.
         argv = command.split()
-        parser_only = cyclic_garbage(lambda: cli.build_parser().parse_args(argv))
+        parser_only = cyclic_garbage(lambda: cli.build_parser(argv).parse_args(argv))
         clear_caches()
         codes = []
         found = cyclic_garbage(lambda: codes.append(main(argv)))
