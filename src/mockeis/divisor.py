@@ -7,21 +7,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .bernoulli import bernoulli
-from .qseries import QSeries
-
-
-def sigma_power(n: int, e: int) -> int:
-    """Divisor power sum sigma_e(n) = sum_{d | n} d^e."""
-    if n < 1:
-        raise ValueError("divisor sums need n >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**e
-            other = n // d
-            if other != d:
-                total += other**e
-    return total
+from .qseries import QSeries, check_order
 
 
 @lru_cache(maxsize=None)
@@ -29,13 +15,20 @@ def eisenstein(weight: int, order: int) -> QSeries:
     """G_weight = -B_weight/(2*weight) + sum_n sigma_{weight-1}(n) q^n.
 
     Odd weights give the zero series, so trace code can iterate uniformly.
+    The divisor sums sigma_{weight-1}(n) come from one sieve: each d adds
+    d^(weight-1) at every multiple of d.
     """
     if weight < 1:
         raise ValueError("Eisenstein weight must be >= 1")
+    check_order(order)
     if weight % 2:
         return QSeries.zero(order)
-    sigmas = QSeries._of([0] + [sigma_power(n, weight - 1) for n in range(1, order + 1)])
-    return sigmas - bernoulli(weight) / (2 * weight)
+    sigmas = [0] * (order + 1)
+    for d in range(1, order + 1):
+        power = d ** (weight - 1)
+        for n in range(d, order + 1, d):
+            sigmas[n] += power
+    return QSeries._of(sigmas) - bernoulli(weight) / (2 * weight)
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +47,7 @@ def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
         raise ValueError("ell must be non-negative")
     if a < 1 or b < 1:
         raise ValueError("divisor-like sums need positive a and b")
+    check_order(order)
     if ell == 0:
         return QSeries.one(order)
     if ell % 2:

@@ -2,7 +2,7 @@
 
 
 class ZeroConstantTermError(ValueError):
-    """Series inversion requires a nonzero constant term."""
+    """Series inversion and division require a nonzero constant term."""
 
 
 class ConstantTermError(ValueError):

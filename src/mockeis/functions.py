@@ -12,11 +12,10 @@ from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from . import partitions as pt
-from .bernoulli import bernoulli
 # Defined in divisor, so that `f` need not compile this module; bound here too.
-from .divisor import divisor_like_sum, eisenstein, sigma_power
+from .divisor import divisor_like_sum, eisenstein
 from .errors import FractionalExponentError, WindowTooLargeError
-from .qseries import QSeries, partition_series, q_pochhammer
+from .qseries import QSeries, check_order, partition_series, q_pochhammer
 from .wjets import WJet, build_jet, jet_exp, rational_jet, two_sinh_half_over_w
 
 RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
@@ -60,9 +59,25 @@ def theta_deriv(a: int, b: int, m: int, order: int) -> QSeries:
     """
     if m < 0:
         raise ValueError("derivative order must be non-negative")
+    check_order(order)
     coeffs = [0] * (order + 1)
     for n, h in _theta_terms(a, b, order):
         coeffs[h] += (-1) ** (n & 1) * (2 * h) ** m
+    return QSeries._of(coeffs)
+
+
+def _krank_numerator(k: int, weights: dict, order: int) -> QSeries:
+    """sum_m weights[m] sum_{n>=1} (-1)^{n-1} q^{n((2k-1)n-1)/2 + m n} (1 - q^n)."""
+    d = 2 * k - 1
+    coeffs = [0] * (order + 1)
+    for m, weight in weights.items():
+        n = 1
+        while (e := n * (d * n - 1) // 2 + m * n) <= order:
+            sign = weight if n % 2 else -weight
+            coeffs[e] += sign
+            if e + n <= order:
+                coeffs[e + n] -= sign
+            n += 1
     return QSeries._of(coeffs)
 
 
@@ -73,19 +88,7 @@ def krank_count_series(k: int, m: int, order: int) -> QSeries:
     """
     if k < 2:
         raise ValueError("count series require k >= 2")
-    d = 2 * k - 1
-    numer = [0] * (order + 1)
-    n = 1
-    while True:
-        e = n * (d * n - 1) // 2 + abs(m) * n
-        if e > order:
-            break
-        sign = 1 if n % 2 else -1
-        numer[e] += sign
-        if e + n <= order:
-            numer[e + n] -= sign
-        n += 1
-    return QSeries._of(numer) * partition_series(order)
+    return _krank_numerator(k, {abs(m): 1}, order) * partition_series(order)
 
 
 class MomentSeries(namedtuple("MomentSeries", "k j series method")):
@@ -95,40 +98,21 @@ class MomentSeries(namedtuple("MomentSeries", "k j series method")):
 
 
 def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:
-    d = 2 * k - 1
     if j == 0:
-        return (QSeries.one(order) - theta_series(1, d, order)) * partition_series(order)
+        return (QSeries.one(order) - theta_series(1, 2 * k - 1, order)) * partition_series(order)
     if j % 2:
         return QSeries.zero(order)
-    coeffs = [0] * (order + 1)
-    n = 1
-    while True:
-        base = n * (d * n - 1) // 2
-        if base > order:
-            break
-        sign = 2 if n % 2 else -2
-        m = 1
-        while base + m * n <= order:
-            e = base + m * n
-            coeffs[e] += sign * m**j
-            if e + n <= order:
-                coeffs[e + n] -= sign * m**j
-            m += 1
-        n += 1
-    return QSeries._of(coeffs) * partition_series(order)
+    weights = {m: 2 * m**j for m in range(1, order + 1)}
+    return _krank_numerator(k, weights, order) * partition_series(order)
 
 
 def _rank_moment_divisor_sum(k: int, j: int, order: int) -> QSeries:
     if j == 0:
         return _rank_moment_direct(k, 0, order)
     acc = QSeries.zero(order)
-    for ell in range(2, j + 1):
-        if (j - ell) % 2:
-            continue
-        shifted = divisor_like_sum(2, 2 * k - 1, ell, order) + (
-            (2 ** (ell - 1) - 1) * bernoulli(ell) / (2 * ell)
-        )
-        acc = acc + shifted * comb(j, ell - 1)
+    for ell in range(2 + j % 2, j + 1, 2):
+        g = divisor_like_sum(2, 2 * k - 1, ell, order)
+        acc = acc + (g - g.coeff(0)) * comb(j, ell - 1)
     return acc * Fraction(4, 2**j) * partition_series(order)
 
 
@@ -157,6 +141,7 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSer
         raise ValueError("rank moments require k >= 3")
     if j < 0:
         raise ValueError("moment order must be non-negative")
+    check_order(order)
     if method == "direct":
         series = _rank_moment_direct(k, j, order)
     elif method == "divisor-sum":
@@ -196,6 +181,7 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSer
     """
     if j < 0:
         raise ValueError("moment order must be non-negative")
+    check_order(order)
     if method == "combinatorial":
         series = _combinatorial_moment(1, j, order)
     elif method == "eisenstein":
@@ -244,7 +230,7 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
         purq = QSeries.one(rem)
         for lo, hi in zip(tup, tup[1:]):
             if hi > lo:
-                purq = purq * q_pochhammer(hi - lo, rem).inverse()
+                purq = purq / q_pochhammer(hi - lo, rem)
         # z[a] for a <= rem: fold in 1/(1 - zeta q^i) for i = 1..n_1, each row
         # gaining q^i times the row below it, which is already folded.
         rows = [[1] + [0] * rem] + [[0] * (rem + 1) for _ in range(rem)]

@@ -34,6 +34,9 @@ product takes one of two paths, chosen by its operands:
 The product's denominator is the product of the two.  Nothing is
 approximated: the products equal those of the schoolbook convolution,
 which the test suite keeps as an independent oracle.
+
+Division by a series is one integer recurrence of the quotient, over the
+divisor's nonzero terms (``__truediv__``); ``inverse`` and ``log`` divide.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ def _ratio(value) -> Tuple[int, int]:
         return value, 1
     c = _coerce(value)
     return c.numerator, c.denominator
+
+
+def check_order(order: int) -> None:
+    """Reject a negative truncation order before any work is done."""
+    if order < 0:
+        raise ValueError(f"negative truncation order {order}")
 
 
 # struct codes of the signed and unsigned little-endian words of each width.
@@ -147,8 +156,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, value: Rational, order: int) -> "QSeries":
-        if order < 0:
-            raise ValueError(f"negative truncation order {order}")
+        check_order(order)
         p, q = _ratio(value)
         return cls._of((p,) + (0,) * order, q)
 
@@ -263,11 +271,37 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar) -> "QSeries":
-        c = _coerce(scalar)
-        if c == 0:
-            raise ZeroDivisionError("division of a series by zero")
-        return self * (1 / c)
+    def __truediv__(self, other) -> "QSeries":
+        """Quotient by a scalar, or by a series with a nonzero constant term.
+
+        By a series, c_n = (a_n - sum_{k=1}^{n} b_k c_{n-k}) / b_0 in integers:
+        with a_k = A_k / da, b_k = B_k / db and t = B_0, c_n = db C_n / (da t^(n+1)),
+        where C_n = A_n t^n - sum_{k=1}^{n} B_k t^(k-1) C_{n-k}.
+        """
+        if not isinstance(other, QSeries):
+            c = _coerce(other)
+            if c == 0:
+                raise ZeroDivisionError("division of a series by zero")
+            return self * (1 / c)
+        size = min(len(self.nums), len(other.nums))
+        t = other.nums[0]
+        if t == 0:
+            raise ZeroConstantTermError("cannot divide by a series with zero constant term")
+        terms = [(k, c * t ** (k - 1)) for k, c in enumerate(other.nums[:size]) if k and c]
+        quot = []
+        for n, a in enumerate(self.nums[:size]):
+            acc = a * t**n if a else 0
+            for k, w in terms:
+                if k > n:
+                    break
+                acc -= w * quot[n - k]
+            quot.append(acc)
+        top = size - 1
+        # Over t^(top + 1), which is negative for t < 0 and even top: carry
+        # that sign in the numerators.
+        db = -other.den if t < 0 and top % 2 == 0 else other.den
+        nums = [db * c * t ** (top - n) for n, c in enumerate(quot)]
+        return QSeries._of(nums, self.den * abs(t) ** (top + 1))
 
     def __pow__(self, exponent: int) -> "QSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -285,32 +319,8 @@ class QSeries:
     # -- analytic-style operations -------------------------------------
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse up to the truncation order.
-
-        The recurrence b_n = -(1/a_0) sum_{k=1}^{n} a_k b_{n-k}, in integers:
-        with a_k = A_k / den and t = A_0, b_n = den * B_n / t^(n+1), where
-        B_0 = 1 and B_n = -sum_{k=1}^{n} A_k t^(k-1) B_{n-k}.
-        """
-        a = self.nums
-        t = a[0]
-        if t == 0:
-            raise ZeroConstantTermError("cannot invert a series with zero constant term")
-        terms = [(k, c * t ** (k - 1)) for k, c in enumerate(a) if k and c]
-        b = [1]
-        for n in range(1, len(a)):
-            acc = 0
-            for k, w in terms:
-                if k > n:
-                    break
-                acc += w * b[n - k]
-            b.append(-acc)
-        top = len(a) - 1
-        if t < 0 and top % 2 == 0:
-            # t^(top + 1) < 0: carry its sign in the numerators.
-            b = [-c for c in b]
-        return QSeries._of(
-            [self.den * c * t ** (top - n) for n, c in enumerate(b)], abs(t) ** (top + 1)
-        )
+        """Multiplicative inverse up to the truncation order: 1 / self."""
+        return QSeries.one(self.order) / self
 
     def exp(self) -> "QSeries":
         """exp of a series with zero constant term: n b_n = sum_k k a_k b_{n-k}."""
@@ -334,7 +344,7 @@ class QSeries:
         """
         if self.nums[0] != self.den:
             raise ConstantTermError("log requires constant term 1")
-        d = self.qderiv() * self.inverse()
+        d = self.qderiv() / self
         top = lcm(*range(1, len(d.nums)))
         return QSeries._of(
             [c * (top // n) if n else 0 for n, c in enumerate(d.nums)], d.den * top
@@ -379,8 +389,7 @@ def euler_product(order: int) -> QSeries:
     theta series with (a, b) = (1, 3) and the two agree (pentagonal
     number theorem), which the test suite checks.
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
+    check_order(order)
     return q_pochhammer(order, order)
 
 
@@ -394,6 +403,7 @@ def q_pochhammer(n: int, order: int) -> QSeries:
     """(q)_n = prod_{k=1}^{n} (1 - q^k), truncated."""
     if n < 0:
         raise ValueError("q-Pochhammer length must be non-negative")
+    check_order(order)
     c = [1] + [0] * order
     for k in range(1, n + 1):
         for m in range(order, k - 1, -1):

@@ -2,6 +2,7 @@
 divisor-like sums, count series, moments, and the multisum oracle."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
@@ -18,7 +19,41 @@ from mockeis.functions import (
     theta_series,
 )
 from mockeis.partitions import count_table
-from mockeis.qseries import QSeries, partition_series
+from mockeis.qseries import QSeries, partition_series, q_pochhammer
+
+
+def trial_division_sigma(n, e):
+    """sigma_e(n) = sum_{d | n} d^e by trial division up to sqrt(n)."""
+    total = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            total += d**e
+            other = n // d
+            if other != d:
+                total += other**e
+    return total
+
+
+SERIES_BUILDERS = {
+    "theta_series": lambda order: theta_series(1, 5, order),
+    "theta_deriv": lambda order: theta_deriv(1, 5, 2, order),
+    "rank_moment": lambda order: rank_moment(3, 2, order, "combinatorial").series,
+    "crank_moment": lambda order: crank_moment(2, order, "combinatorial").series,
+    "eisenstein": lambda order: eisenstein(4, order),
+    "q_pochhammer": lambda order: q_pochhammer(3, order),
+    "divisor_like_sum": lambda order: divisor_like_sum(2, 5, 2, order),
+}
+
+
+@pytest.mark.parametrize("order", [-5, -1, 0])
+@pytest.mark.parametrize("name", SERIES_BUILDERS)
+def test_negative_truncation_order_raises(name, order):
+    build = SERIES_BUILDERS[name]
+    if order < 0:
+        with pytest.raises(ValueError, match=f"^negative truncation order {order}$"):
+            build(order)
+    else:
+        assert build(order).order == 0
 
 
 class TestBernoulli:
@@ -65,6 +100,16 @@ class TestEisenstein:
     def test_bad_weight(self):
         with pytest.raises(ValueError):
             eisenstein(0, 5)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 60, 500])
+    def test_sieve_matches_trial_division(self, order):
+        for weight in range(1, 15):
+            if weight % 2:
+                expected = QSeries.zero(order)
+            else:
+                sigmas = [0] + [trial_division_sigma(n, weight - 1) for n in range(1, order + 1)]
+                expected = QSeries(sigmas) - bernoulli(weight) / (2 * weight)
+            assert eisenstein(weight, order) == expected
 
 
 class TestTheta:
@@ -144,7 +189,56 @@ class TestDivisorLikeSum:
         assert divisor_like_sum(3, 7, 0, 6) == QSeries.one(6)
 
 
+def reference_count_numerator(k, m, order):
+    """sum_{n>=1} (-1)^{n-1} q^{n((2k-1)n-1)/2 + |m| n} (1 - q^n), term by term."""
+    d = 2 * k - 1
+    numer = [0] * (order + 1)
+    n = 1
+    while True:
+        e = n * (d * n - 1) // 2 + abs(m) * n
+        if e > order:
+            break
+        sign = 1 if n % 2 else -1
+        numer[e] += sign
+        if e + n <= order:
+            numer[e + n] -= sign
+        n += 1
+    return QSeries(numer)
+
+
+def reference_direct_moment(k, j, order):
+    """R_{k,j} by the theta-type double sum, n outer and m inner."""
+    d = 2 * k - 1
+    if j == 0:
+        return (QSeries.one(order) - theta_series(1, d, order)) * partition_series(order)
+    if j % 2:
+        return QSeries.zero(order)
+    coeffs = [0] * (order + 1)
+    n = 1
+    while True:
+        base = n * (d * n - 1) // 2
+        if base > order:
+            break
+        sign = 2 if n % 2 else -2
+        m = 1
+        while base + m * n <= order:
+            e = base + m * n
+            coeffs[e] += sign * m**j
+            if e + n <= order:
+                coeffs[e + n] -= sign * m**j
+            m += 1
+        n += 1
+    return QSeries(coeffs) * partition_series(order)
+
+
 class TestCountSeries:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_the_term_by_term_numerator(self, k):
+        for m in range(-8, 9):
+            for order in range(121):
+                expected = reference_count_numerator(k, m, order) * partition_series(order)
+                assert krank_count_series(k, m, order) == expected
+
     def test_vanishes_at_q0(self):
         for m in range(-3, 4):
             assert krank_count_series(3, m, 10).coeff(0) == 0
@@ -190,6 +284,19 @@ class TestRankMoments:
                 direct = rank_moment(k, j, 15, "direct").series
                 assert direct == rank_moment(k, j, 15, "divisor-sum").series
                 assert direct == rank_moment(k, j, 15, "combinatorial").series
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_direct_matches_the_double_sum(self, k):
+        for j in range(11):
+            for order in (0, 1, 2, 3, 17, 60, 121):
+                expected = reference_direct_moment(k, j, order)
+                assert rank_moment(k, j, order, "direct").series == expected
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_methods_agree_at_order_300(self, k):
+        for j in range(11):
+            direct = rank_moment(k, j, 300, "direct").series
+            assert direct == rank_moment(k, j, 300, "divisor-sum").series
 
     def test_combinatorial_ceiling(self):
         with pytest.raises(WindowTooLargeError):

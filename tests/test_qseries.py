@@ -520,3 +520,61 @@ class TestStorageAgainstOracle:
             acc = sum((k * expected[k] * cs[n - k] for k in range(1, n)), F(0))
             expected.append(cs[n] - acc / n)
         assert_stores(a.log(), expected)
+
+
+# -- division by a series ----------------------------------------------------
+
+
+def quotient_oracle(a, b):
+    """a / b to the smaller order, by c_n = (a_n - sum_k b_k c_{n-k}) / b_0 over Fractions."""
+    x, y = a.coeffs, b.coeffs
+    c = []
+    for n in range(min(len(x), len(y))):
+        c.append((x[n] - sum((y[k] * c[n - k] for k in range(1, n + 1)), F(0))) / y[0])
+    return c
+
+
+nonzero_scalars = st.builds(
+    lambda p, q, sign: F(sign * p, q),
+    st.integers(1, 20),
+    st.integers(1, 12),
+    st.sampled_from((1, -1)),
+)
+
+divisors = st.one_of(
+    # Dense: any coefficients past q^0, over a nonzero constant term of either sign.
+    st.builds(lambda b, c: b - b.coeff(0) + c, storage_series, nonzero_scalars),
+    # Sparse: a q-Pochhammer symbol, scaled.
+    st.builds(
+        lambda g, n, c: q_pochhammer(g, n) * c,
+        st.integers(0, 10),
+        st.integers(0, 30),
+        nonzero_scalars,
+    ),
+)
+
+
+class TestDivision:
+    @given(storage_series, divisors)
+    @settings(deadline=None)
+    def test_quotient(self, a, b):
+        n = min(a.order, b.order)
+        quotient = a / b
+        assert_stores(quotient, quotient_oracle(a, b))
+        assert quotient * b == a.truncate(n)
+        assert quotient == a * b.inverse()
+
+    @pytest.mark.parametrize("top", range(8))
+    @pytest.mark.parametrize("t", [-1, -2, F(-3, 2)])
+    def test_negative_constant_term_at_even_and_odd_top(self, top, t):
+        a = QSeries([F(n + 1, 2) for n in range(top + 3)])
+        b = QSeries([t] + [n % 3 - 1 for n in range(top)])
+        quotient = a / b
+        assert quotient.order == top
+        assert_stores(quotient, quotient_oracle(a, b))
+        assert quotient * b == a.truncate(top)
+
+    @given(storage_series, storage_series)
+    def test_zero_constant_term_raises(self, a, b):
+        with pytest.raises(ZeroConstantTermError):
+            a / (b - b.coeff(0))
