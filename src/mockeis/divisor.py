@@ -3,14 +3,20 @@ series and the divisor-like lattice sums g_{a,b,ell} (bound in functions too).""
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 from .bernoulli import bernoulli
-from .qseries import QSeries, check_order
+from .qseries import QSeries, check_order, order_cache
 
 
-@lru_cache(maxsize=None)
+def _eisenstein_args(weight: int, order: int):
+    if weight < 1:
+        raise ValueError("Eisenstein weight must be >= 1")
+    check_order(order)
+    return weight, order
+
+
+@order_cache(_eisenstein_args)
 def eisenstein(weight: int, order: int) -> QSeries:
     """G_weight = -B_weight/(2*weight) + sum_n sigma_{weight-1}(n) q^n.
 
@@ -18,9 +24,6 @@ def eisenstein(weight: int, order: int) -> QSeries:
     The divisor sums sigma_{weight-1}(n) come from one sieve: each d adds
     d^(weight-1) at every multiple of d.
     """
-    if weight < 1:
-        raise ValueError("Eisenstein weight must be >= 1")
-    check_order(order)
     if weight % 2:
         return QSeries.zero(order)
     sigmas = [0] * (order + 1)
@@ -31,7 +34,16 @@ def eisenstein(weight: int, order: int) -> QSeries:
     return QSeries._of(sigmas) - bernoulli(weight) / (2 * weight)
 
 
-@lru_cache(maxsize=None)
+def _divisor_like_sum_args(a: int, b: int, ell: int, order: int):
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    if a < 1 or b < 1:
+        raise ValueError("divisor-like sums need positive a and b")
+    check_order(order)
+    return (a, b, ell), order
+
+
+@order_cache(_divisor_like_sum_args)
 def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
     """The two-parameter divisor-like lattice sum g_{a,b,ell}.
 
@@ -43,11 +55,6 @@ def divisor_like_sum(a: int, b: int, ell: int, order: int) -> QSeries:
 
     truncated by m n <= order, for positive integers a and b.
     """
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    if a < 1 or b < 1:
-        raise ValueError("divisor-like sums need positive a and b")
-    check_order(order)
     if ell == 0:
         return QSeries.one(order)
     if ell % 2:

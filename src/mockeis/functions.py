@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, isqrt
+from typing import List
 
 from . import partitions as pt
 # Defined in divisor, so that `f` need not compile this module; bound here too.
@@ -162,14 +163,20 @@ def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
     return jet_exp(build_jet(entries, 2, max_deg, q_order))
 
 
-def _crank_moment_eisenstein(j: int, order: int) -> QSeries:
-    # C(zeta, q) = sin(pi z)/(pi z (q)_inf) * exp(2 sum_k G_k w^k/k!) read
-    # off at w^j, all in w = 2*pi*i*z coordinates.
-    top = max(2, j)
+def crank_moments(max_j: int, order: int) -> List[QSeries]:
+    """C_0, ..., C_max_j by the Eisenstein route, read off one jet.
+
+    C(zeta, q) = sin(pi z)/(pi z (q)_inf) * exp(2 sum_k G_k w^k/k!), in
+    w = 2*pi*i*z coordinates, has C_j/j! as its coefficient of w^j.
+    """
+    if max_j < 0:
+        raise ValueError("moment order must be non-negative")
+    check_order(order)
+    top = max(2, max_j)
     expo = eisenstein_exponential(2, top, order)
     sinc = rational_jet(two_sinh_half_over_w(top), order)
     total = (sinc * expo).scale(partition_series(order))
-    return total.coeff(j) * factorial(j)
+    return [total.coeff(j) * factorial(j) for j in range(max_j + 1)]
 
 
 def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSeries:
@@ -185,7 +192,7 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSer
     if method == "combinatorial":
         series = _combinatorial_moment(1, j, order)
     elif method == "eisenstein":
-        series = _crank_moment_eisenstein(j, order)
+        series = crank_moments(j, order)[-1]
     else:
         raise ValueError(f"unknown crank moment method {method!r}")
     return MomentSeries(k=1, j=j, series=series, method=method)

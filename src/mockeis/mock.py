@@ -27,17 +27,15 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .bernoulli import bernoulli
-from .divisor import divisor_like_sum, eisenstein
+from .divisor import divisor_like_sum
 from .errors import MissingMemberError, WindowTooLargeError
 from .partitions import PARTITION_CEILING, partitions_of
-from .qseries import QSeries, partition_series
-from .wjets import build_jet, jet_log, rational_jet, two_sinh_half_over_w
+from .qseries import QSeries, order_cache
+from .wjets import build_jet, jet_log
 
 ROUTES = ("recursionA", "recursionB", "logRoute")
 
@@ -105,17 +103,6 @@ def _monomial(lam: Tuple[int, ...], members: Members, order: int, monomials: dic
     return term
 
 
-def eisenstein_members(order: int) -> Members:
-    """Member accessor for the Eisenstein family (odd weights are zero)."""
-
-    def member(j: int) -> QSeries:
-        if j < 1:
-            raise MissingMemberError("Eisenstein members start at weight 1")
-        return eisenstein(j, order)
-
-    return member
-
-
 class MockFamily(namedtuple("MockFamily", "k max_j order route extrapolated members")):
     """Members f_{k,j} for even j <= max_j at a common truncation order.
 
@@ -143,6 +130,15 @@ class MockFamily(namedtuple("MockFamily", "k max_j order route extrapolated memb
         if j % 2:
             return QSeries.zero(self.order)
         return self.members[j]
+
+    def truncate(self, order: int) -> "MockFamily":
+        """The family at a lower order: each member truncated, read-only as well."""
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate an order {self.order} family to order {order}")
+        if order == self.order:
+            return self
+        members = {j: series.truncate(order) for j, series in self.members.items()}
+        return MockFamily(self.k, self.max_j, order, self.route, self.extrapolated, members)
 
 
 def _g_sums(k: int, max_j: int, order: int) -> Dict[int, QSeries]:
@@ -204,20 +200,9 @@ _ROUTE_BUILDERS = {
 }
 
 
-@lru_cache(maxsize=None)
-def mock_eisenstein_family(
-    k: int,
-    max_j: int,
-    order: int,
-    route: str = "recursionA",
-    allow_k2: bool = False,
-) -> MockFamily:
-    """Build the family {f_{k,j}} for even j <= max_j at the given order.
-
-    k = 2 runs the same recursions with g_{2,3,ell}; it is an
-    extrapolation outside the verified k >= 3 range and must be enabled
-    explicitly.
-    """
+def _family_args(
+    k: int, max_j: int, order: int, route: str = "recursionA", allow_k2: bool = False
+):
     if k < 2:
         raise ValueError("the family is defined for k >= 2")
     if k == 2 and not allow_k2:
@@ -234,6 +219,23 @@ def mock_eisenstein_family(
             f"--j {max_j} by recursionB traces the partitions of {max_j - 2}, above "
             f"the enumeration ceiling {PARTITION_CEILING}"
         )
+    return (k, max_j, route, allow_k2), order
+
+
+@order_cache(_family_args)
+def mock_eisenstein_family(
+    k: int,
+    max_j: int,
+    order: int,
+    route: str = "recursionA",
+    allow_k2: bool = False,
+) -> MockFamily:
+    """Build the family {f_{k,j}} for even j <= max_j at the given order.
+
+    k = 2 runs the same recursions with g_{2,3,ell}; it is an
+    extrapolation outside the verified k >= 3 range and must be enabled
+    explicitly.
+    """
     g = _g_sums(k, max_j, order)
     members = _ROUTE_BUILDERS[route](g, max_j, order)
     return MockFamily(
@@ -246,123 +248,9 @@ def mock_eisenstein_family(
     )
 
 
-# -- identity checks ------------------------------------------------------
-
-
-def _trace_residuals(moments: List[QSeries], members: Members, order: int) -> List[QSeries]:
-    """Residuals, one per power of w through w^(len(moments) - 1), of
-
-        sum_j M_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, members) w^j
-
-    for the moment series M_j = ``moments[j]``.
-    """
-    max_j = len(moments) - 1
-    monomials: dict = {}
-    traces = build_jet(
-        {j: partition_trace(j, members, order, "phi", monomials) for j in range(max_j + 1)},
-        0,
-        max_j,
-        order,
-    )
-    sinc = rational_jet(two_sinh_half_over_w(max_j), order)
-    rhs = (sinc * traces).scale(partition_series(order))
-    return [moments[j] / factorial(j) - rhs.coeff(j) for j in range(max_j + 1)]
-
-
-def trace_identity_residuals(k: int, max_j: int, order: int) -> List[QSeries]:
-    """Residuals (one per power of the trace variable, 0..max_j) of
-
-        sum_j R_{k,j} w^j/j! + theta_{1,2k-1}/(q)_inf
-            = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, f_k) w^j.
-
-    The theta shift on the w^0 coefficient makes the identity exact;
-    without it the two sides already differ at q^{k-1}.
-    """
-    from . import functions as fn
-
-    if max_j % 2:
-        raise ValueError("max_j must be even")
-    fam = mock_eisenstein_family(k, max(max_j, 2), order)
-    moments = [fn.rank_moment(k, j, order, "direct").series for j in range(max_j + 1)]
-    moments[0] = moments[0] + fn.theta_series(1, 2 * k - 1, order) * partition_series(order)
-    return _trace_residuals(moments, fam.member, order)
-
-
-def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
-    """Residuals of the crank analogue
-
-        sum_j C_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, G) w^j
-
-    with C_j from enumeration and G the Eisenstein family."""
-    from . import functions as fn
-
-    if max_j % 2:
-        raise ValueError("max_j must be even")
-    moments = [
-        fn.crank_moment(j, order, "combinatorial").series for j in range(max_j + 1)
-    ]
-    return _trace_residuals(moments, eisenstein_members(order), order)
-
-
-class IntegralityReport(
-    namedtuple("IntegralityReport", "ok j n value", defaults=(None, None, None))
-):
-    __slots__ = ()
-
-    def describe(self) -> str:
-        if self.ok:
-            return "all shifted coefficients integral"
-        return f"member j={self.j}: coefficient of q^{self.n} is {self.value}"
-
-
-def integrality_check(family: MockFamily) -> IntegralityReport:
-    """Check that every member plus B_j/(2j) has integer coefficients."""
-    for j in range(2, family.max_j + 1, 2):
-        shifted = family.member(j) + bernoulli(j) / (2 * j)
-        n = first_fractional(shifted)
-        if n is not None:
-            return IntegralityReport(ok=False, j=j, n=n, value=shifted.coeff(n))
-    return IntegralityReport(ok=True)
-
-
 def first_fractional(series: QSeries) -> Optional[int]:
     """The first n whose coefficient of q^n is not an integer, or None."""
     if series.den == 1:
         return None
     # In lowest terms some numerator is not a multiple of a den above 1.
     return next(n for n, c in enumerate(series.nums) if c % series.den)
-
-
-class PatternReport(namedtuple("PatternReport", "ok detail", defaults=("",))):
-    __slots__ = ()
-
-
-def leading_pattern_check(
-    k: int, j: int, order: int, family: Optional[MockFamily] = None
-) -> PatternReport:
-    """Check the leading coefficients of f_{k,j}:
-
-    constant -B_j/(2j), then q^{k+i} carries (i+1)^j - i^j for i < k.
-    """
-    if j < 2 or j % 2:
-        raise ValueError("the pattern concerns even j >= 2")
-    if order < 2 * k - 1:
-        raise ValueError("order must reach q^{2k-1}")
-    if family is None:
-        family = mock_eisenstein_family(k, j, order)
-    member = family.member(j)
-    expected_const = -bernoulli(j) / (2 * j)
-    if member.coeff(0) != expected_const:
-        return PatternReport(
-            ok=False,
-            detail=f"constant {member.coeff(0)} != {expected_const}",
-        )
-    for i in range(k):
-        want = (i + 1) ** j - i**j
-        got = member.coeff(k + i)
-        if got != want:
-            return PatternReport(
-                ok=False,
-                detail=f"coefficient of q^{k + i} is {got}, expected {want}",
-            )
-    return PatternReport(ok=True)

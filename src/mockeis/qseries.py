@@ -37,12 +37,17 @@ which the test suite keeps as an independent oracle.
 
 Division by a series is one integer recurrence of the quotient, over the
 divisor's nonzero terms (``__truediv__``); ``inverse`` and ``log`` divide.
+
+Since every operation truncates, a series built to order N is, truncated
+to M <= N, the series built to order M.  ``order_cache`` caches builders on
+that: one entry per key, at the highest order built.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import update_wrapper
 from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, neg, sub
@@ -76,6 +81,55 @@ def check_order(order: int) -> None:
     """Reject a negative truncation order before any work is done."""
     if order < 0:
         raise ValueError(f"negative truncation order {order}")
+
+
+# The most keys an order cache keeps; the least recently used goes first.
+CACHE_KEYS = 128
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def order_cache(arguments):
+    """Cache a builder whose result at a smaller order is a truncation.
+
+    ``arguments`` takes the builder's arguments, checks them and returns
+    (key, order), the key being every argument but the order; so a bad
+    argument raises before the cache is read.  Each key keeps only the
+    result at the highest order built, and a smaller order is served as
+    ``result.truncate(order)``.  Like ``functools.lru_cache``, the cached
+    function has ``cache_clear()``, ``cache_info()`` and ``__wrapped__``
+    (the builder, which checks nothing).
+    """
+
+    def decorate(build):
+        entries = OrderedDict()
+        hits = misses = 0
+
+        def cached(*args, **kwargs):
+            nonlocal hits, misses
+            key, order = arguments(*args, **kwargs)
+            value = entries.get(key)
+            if value is not None and value.order >= order:
+                hits += 1
+                entries.move_to_end(key)
+                return value.truncate(order)
+            misses += 1
+            value = entries[key] = build(*args, **kwargs)
+            entries.move_to_end(key)
+            if len(entries) > CACHE_KEYS:
+                entries.popitem(last=False)
+            return value
+
+        def cache_clear():
+            nonlocal hits, misses
+            entries.clear()
+            hits = misses = 0
+
+        cached.cache_clear = cache_clear
+        cached.cache_info = lambda: CacheInfo(hits, misses, CACHE_KEYS, len(entries))
+        return update_wrapper(cached, build)
+
+    return decorate
 
 
 # struct codes of the signed and unsigned little-endian words of each width.
@@ -393,7 +447,12 @@ def euler_product(order: int) -> QSeries:
     return q_pochhammer(order, order)
 
 
-@lru_cache(maxsize=None)
+def _order_only(order: int):
+    check_order(order)
+    return None, order
+
+
+@order_cache(_order_only)
 def partition_series(order: int) -> QSeries:
     """1/(q)_inf: the generating function of unrestricted partitions."""
     return euler_product(order).inverse()

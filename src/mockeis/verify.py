@@ -1,4 +1,5 @@
-"""Named verification suites with machine-readable results.
+"""Named verification suites with machine-readable results, and the
+identity checks only they run.
 
 Each suite checks one family of identities at its default acceptance
 size; sizes can be overridden.  All comparisons are exact, so a check
@@ -10,15 +11,18 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import functions as fn
 from . import mock
 from . import partitions as pt
 from . import pde
-from .errors import ConfigError
-from .qseries import QSeries
-from .wjets import WJet
+from .bernoulli import bernoulli
+from .divisor import eisenstein
+from .errors import ConfigError, MissingMemberError
+from .qseries import QSeries, partition_series
+from .wjets import WJet, build_jet, rational_jet, two_sinh_half_over_w
 
 DEFAULT_KS = (3, 4, 5)
 
@@ -63,15 +67,142 @@ def _zero_check(name: str, residual) -> CheckResult:
     return CheckResult(name, False, where)
 
 
-def _count_check(name: str, route: str, table: pt.CountTable, count) -> CheckResult:
-    """``count(m, n)`` against the enumerated ``table``; reports the first mismatch."""
+def _count_check(
+    name: str, route: str, table: pt.CountTable, rows: Dict[int, QSeries]
+) -> CheckResult:
+    """The count series ``rows[m]`` against the enumerated ``table``; reports
+    the first mismatch.  Coefficient n of ``rows[m]`` is nums[n] / den, so it
+    equals a count c exactly when nums[n] == c * den."""
     for m in range(-table.max_abs_m, table.max_abs_m + 1):
+        nums, den = rows[m].nums, rows[m].den
         for n in range(table.max_n + 1):
-            got, want = count(m, n), table.count(m, n)
-            if got != want:
+            want = table.count(m, n)
+            if nums[n] != want * den:
+                got = Fraction(nums[n], den)
                 detail = f"N_{table.k}({m},{n}): {route} {got}, enumeration {want}"
                 return CheckResult(name, False, detail)
     return CheckResult(name, True)
+
+
+# -- identity checks ------------------------------------------------------
+
+
+def eisenstein_members(order: int) -> mock.Members:
+    """Member accessor for the Eisenstein family (odd weights are zero)."""
+
+    def member(j: int) -> QSeries:
+        if j < 1:
+            raise MissingMemberError("Eisenstein members start at weight 1")
+        return eisenstein(j, order)
+
+    return member
+
+
+def _trace_residuals(moments: List[QSeries], members: mock.Members, order: int) -> List[QSeries]:
+    """Residuals, one per power of w through w^(len(moments) - 1), of
+
+        sum_j M_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, members) w^j
+
+    for the moment series M_j = ``moments[j]``.
+    """
+    max_j = len(moments) - 1
+    monomials: dict = {}
+    traces = build_jet(
+        {j: mock.partition_trace(j, members, order, "phi", monomials) for j in range(max_j + 1)},
+        0,
+        max_j,
+        order,
+    )
+    sinc = rational_jet(two_sinh_half_over_w(max_j), order)
+    rhs = (sinc * traces).scale(partition_series(order))
+    return [moments[j] / factorial(j) - rhs.coeff(j) for j in range(max_j + 1)]
+
+
+def trace_identity_residuals(k: int, max_j: int, order: int) -> List[QSeries]:
+    """Residuals (one per power of the trace variable, 0..max_j) of
+
+        sum_j R_{k,j} w^j/j! + theta_{1,2k-1}/(q)_inf
+            = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, f_k) w^j.
+
+    The theta shift on the w^0 coefficient makes the identity exact;
+    without it the two sides already differ at q^{k-1}.
+    """
+    if max_j % 2:
+        raise ValueError("max_j must be even")
+    fam = mock.mock_eisenstein_family(k, max(max_j, 2), order)
+    moments = [fn.rank_moment(k, j, order, "direct").series for j in range(max_j + 1)]
+    moments[0] = moments[0] + fn.theta_series(1, 2 * k - 1, order) * partition_series(order)
+    return _trace_residuals(moments, fam.member, order)
+
+
+def crank_trace_residuals(max_j: int, order: int) -> List[QSeries]:
+    """Residuals of the crank analogue
+
+        sum_j C_j w^j/j! = (2 sinh(w/2) / (w (q)_inf)) sum_j Tr_j(phi, G) w^j
+
+    with C_j from enumeration and G the Eisenstein family."""
+    if max_j % 2:
+        raise ValueError("max_j must be even")
+    moments = [
+        fn.crank_moment(j, order, "combinatorial").series for j in range(max_j + 1)
+    ]
+    return _trace_residuals(moments, eisenstein_members(order), order)
+
+
+class IntegralityReport(
+    namedtuple("IntegralityReport", "ok j n value", defaults=(None, None, None))
+):
+    __slots__ = ()
+
+    def describe(self) -> str:
+        if self.ok:
+            return "all shifted coefficients integral"
+        return f"member j={self.j}: coefficient of q^{self.n} is {self.value}"
+
+
+def integrality_check(family: mock.MockFamily) -> IntegralityReport:
+    """Check that every member plus B_j/(2j) has integer coefficients."""
+    for j in range(2, family.max_j + 1, 2):
+        shifted = family.member(j) + bernoulli(j) / (2 * j)
+        n = mock.first_fractional(shifted)
+        if n is not None:
+            return IntegralityReport(ok=False, j=j, n=n, value=shifted.coeff(n))
+    return IntegralityReport(ok=True)
+
+
+class PatternReport(namedtuple("PatternReport", "ok detail", defaults=("",))):
+    __slots__ = ()
+
+
+def leading_pattern_check(
+    k: int, j: int, order: int, family: Optional[mock.MockFamily] = None
+) -> PatternReport:
+    """Check the leading coefficients of f_{k,j}:
+
+    constant -B_j/(2j), then q^{k+i} carries (i+1)^j - i^j for i < k.
+    """
+    if j < 2 or j % 2:
+        raise ValueError("the pattern concerns even j >= 2")
+    if order < 2 * k - 1:
+        raise ValueError("order must reach q^{2k-1}")
+    if family is None:
+        family = mock.mock_eisenstein_family(k, j, order)
+    member = family.member(j)
+    expected_const = -bernoulli(j) / (2 * j)
+    if member.coeff(0) != expected_const:
+        return PatternReport(
+            ok=False,
+            detail=f"constant {member.coeff(0)} != {expected_const}",
+        )
+    for i in range(k):
+        want = (i + 1) ** j - i**j
+        got = member.coeff(k + i)
+        if got != want:
+            return PatternReport(
+                ok=False,
+                detail=f"coefficient of q^{k + i} is {got}, expected {want}",
+            )
+    return PatternReport(ok=True)
 
 
 # -- suites ---------------------------------------------------------------
@@ -90,14 +221,18 @@ def suite_counts(
         table = pt.count_table(k, m_top, n_top)
         series = {m: fn.krank_count_series(k, m, n_top) for m in range(-m_top, m_top + 1)}
         name = f"counts: N_{k} enumeration = count series (n<={n_top}, |m|<={m_top})"
-        results.append(_count_check(name, "series", table, lambda m, n: series[m].coeff(n)))
+        results.append(_count_check(name, "series", table, series))
         if k == 3:
             n3 = min(15, n_top) if max_n is None else max_n
             m3 = min(5, m_top) if max_m is None else max_m
             small = pt.count_table(3, m3, n3)
             multi = fn.multisum_count_table(3, m3, n3)
+            rows = {
+                m: QSeries._of(multi.count(m, n) for n in range(n3 + 1))
+                for m in range(-m3, m3 + 1)
+            }
             name = f"counts: N_3 multisum = enumeration (n<={n3}, |m|<={m3})"
-            results.append(_count_check(name, "multisum", small, multi.count))
+            results.append(_count_check(name, "multisum", small, rows))
     return results
 
 
@@ -156,7 +291,7 @@ def suite_traces(
         results.append(
             _zero_check(
                 f"traces: k={k} moment/trace identity (w^{max_j}, order {order})",
-                mock.trace_identity_residuals(k, max_j, order),
+                trace_identity_residuals(k, max_j, order),
             )
         )
     return results
@@ -167,15 +302,16 @@ def suite_crank(max_j: int = 8, order: int = 20) -> List[CheckResult]:
     results = [
         _zero_check(
             f"crank: trace identity for Eisenstein family (w^{max_j}, order {order})",
-            mock.crank_trace_residuals(max_j, order),
+            crank_trace_residuals(max_j, order),
         )
     ]
+    eisenstein_route = fn.crank_moments(max_j, order)
     for j in range(0, max_j + 1):
         results.append(
             _series_check(
                 f"crank: C_{j} enumeration = Eisenstein route (order {order})",
                 fn.crank_moment(j, order, "combinatorial").series,
-                fn.crank_moment(j, order, "eisenstein").series,
+                eisenstein_route[j],
             )
         )
     return results
@@ -187,7 +323,7 @@ def suite_integrality(
     results = []
     for k in ks:
         family = mock.mock_eisenstein_family(k, max_j, order)
-        report = mock.integrality_check(family)
+        report = integrality_check(family)
         results.append(
             CheckResult(
                 f"integrality: k={k}, j<={max_j}, order {order}",
@@ -204,7 +340,7 @@ def suite_pattern(ks: Iterable[int] = DEFAULT_KS, max_j: int = 12) -> List[Check
         order = 2 * k
         family = mock.mock_eisenstein_family(k, max_j, order)
         for j in range(2, max_j + 1, 2):
-            report = mock.leading_pattern_check(k, j, order, family)
+            report = leading_pattern_check(k, j, order, family)
             results.append(
                 CheckResult(
                     f"pattern: f_{{{k},{j}}} leading coefficients",

@@ -172,14 +172,18 @@ def jet_exp(a: WJet) -> WJet:
             raise ConstantTermError("jet exp requires vanishing below degree 1")
     order = a.q_order
     b = [QSeries.one(order)]
+    live = [True]  # live[n]: b[n] is not the zero series
     for n in range(1, a.max_deg + 1):
         acc = QSeries.zero(order)
         for k in range(1, n + 1):
+            if not live[n - k]:
+                continue
             ak = a.coeff(k)
             if ak.is_zero():
                 continue
             acc = acc + (ak * b[n - k]) * k
         b.append(acc / n)
+        live.append(not b[n].is_zero())
     return WJet(0, b)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 from mockeis import verify
 from mockeis.functions import theta_series
-from mockeis.mock import crank_trace_residuals, mock_eisenstein_family
+from mockeis.mock import mock_eisenstein_family
 from mockeis.pde import pde_residual, theta_ode_residual
 from mockeis.qseries import QSeries, euler_product
 
@@ -65,7 +65,7 @@ def test_criterion_04_moment_identities():
 def test_criterion_05_trace_identities():
     with criterion(5, "moment/trace identity (theta-shifted) and crank analogue"):
         _all_passed(verify.suite_traces())
-        residuals = crank_trace_residuals(8, 20)
+        residuals = verify.crank_trace_residuals(8, 20)
         assert all(r.is_zero() for r in residuals)
 
 

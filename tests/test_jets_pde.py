@@ -114,6 +114,29 @@ class TestJetArithmetic:
         for d in range(1, 6):
             assert back.coeff(d) == arg.coeff(d)
 
+    def test_exp_of_an_even_jet_multiplies_no_zero_term(self, monkeypatch):
+        # b_m vanishes at odd m, so only a_k b_{n-k} with k and n - k even is
+        # a product: 1 + 2 + 3 + 4 of them through w^8.
+        rng = random.Random(11)
+        entries = {
+            d: QSeries([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
+            for d in range(2, 9, 2)
+        }
+        arg = build_jet(entries, 1, 8, 5)
+        products = []
+        mul = QSeries.__mul__
+        monkeypatch.setattr(
+            QSeries, "__mul__",
+            lambda a, b: (isinstance(b, QSeries) and products.append(b)) or mul(a, b),
+        )
+        expo = jet_exp(arg)
+        monkeypatch.undo()
+        assert len(products) == 10
+        assert all(expo.coeff(d).is_zero() for d in range(1, 9, 2))
+        back = jet_log(expo)
+        for d in range(1, 9):
+            assert back.coeff(d) == arg.coeff(d)
+
     def test_exp_requires_vanishing_constant(self):
         with pytest.raises(ConstantTermError):
             jet_exp(monomial_jet(0, 4))

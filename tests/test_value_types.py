@@ -7,10 +7,10 @@ from types import MappingProxyType
 import pytest
 
 from mockeis.functions import MomentSeries
-from mockeis.mock import IntegralityReport, MockFamily, PatternReport
+from mockeis.mock import MockFamily
 from mockeis.partitions import CountTable
 from mockeis.qseries import QSeries
-from mockeis.verify import CheckResult
+from mockeis.verify import CheckResult, IntegralityReport, PatternReport
 
 SERIES = QSeries([0, 1])
 
