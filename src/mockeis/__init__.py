@@ -15,7 +15,7 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("divisor", "divisor_like_sum eisenstein"),
-        ("functions", "MomentSeries crank_moment crank_moments krank_count_series "
+        ("functions", "crank_moment crank_moments krank_count_series "
          "multisum_count_table rank_moment theta_deriv theta_series"),
         ("mock", "MockFamily mock_eisenstein_family partition_trace phi_weight psi_weight"),
         ("partitions", "PARTITION_CEILING CountTable count_table crank durfee_sizes "

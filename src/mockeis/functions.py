@@ -7,7 +7,6 @@ explicit order, with exact rational coefficients.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, isqrt
 from typing import List
@@ -20,7 +19,6 @@ from .qseries import QSeries, check_order, partition_series, q_pochhammer
 from .wjets import WJet, build_jet, jet_exp, rational_jet, two_sinh_half_over_w
 
 RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
-CRANK_METHODS = ("combinatorial", "eisenstein")
 
 
 def _theta_terms(a: int, b: int, order: int):
@@ -92,12 +90,6 @@ def krank_count_series(k: int, m: int, order: int) -> QSeries:
     return _krank_numerator(k, {abs(m): 1}, order) * partition_series(order)
 
 
-class MomentSeries(namedtuple("MomentSeries", "k j series method")):
-    """A rank or crank moment with the construction route recorded."""
-
-    __slots__ = ()
-
-
 def _rank_moment_direct(k: int, j: int, order: int) -> QSeries:
     if j == 0:
         return (QSeries.one(order) - theta_series(1, 2 * k - 1, order)) * partition_series(order)
@@ -131,7 +123,7 @@ def _combinatorial_moment(k: int, j: int, order: int) -> QSeries:
     )
 
 
-def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSeries:
+def rank_moment(k: int, j: int, order: int, method: str = "direct") -> QSeries:
     """The k-rank moment R_{k,j} = sum_{n,m} m^j N_k(m,n) q^n for k >= 3.
 
     methods: "direct" (theta-type double sum), "divisor-sum" (binomial
@@ -144,14 +136,12 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> MomentSer
         raise ValueError("moment order must be non-negative")
     check_order(order)
     if method == "direct":
-        series = _rank_moment_direct(k, j, order)
-    elif method == "divisor-sum":
-        series = _rank_moment_divisor_sum(k, j, order)
-    elif method == "combinatorial":
-        series = _combinatorial_moment(k, j, order)
-    else:
-        raise ValueError(f"unknown rank moment method {method!r}")
-    return MomentSeries(k=k, j=j, series=series, method=method)
+        return _rank_moment_direct(k, j, order)
+    if method == "divisor-sum":
+        return _rank_moment_divisor_sum(k, j, order)
+    if method == "combinatorial":
+        return _combinatorial_moment(k, j, order)
+    raise ValueError(f"unknown rank moment method {method!r}")
 
 
 def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
@@ -179,7 +169,7 @@ def crank_moments(max_j: int, order: int) -> List[QSeries]:
     return [total.coeff(j) * factorial(j) for j in range(max_j + 1)]
 
 
-def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSeries:
+def crank_moment(j: int, order: int, method: str = "combinatorial") -> QSeries:
     """The crank moment C_j = sum_{n,m} m^j N_1(m,n) q^n.
 
     methods: "combinatorial" (enumeration with the n = 1 convention) and
@@ -190,12 +180,10 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> MomentSer
         raise ValueError("moment order must be non-negative")
     check_order(order)
     if method == "combinatorial":
-        series = _combinatorial_moment(1, j, order)
-    elif method == "eisenstein":
-        series = crank_moments(j, order)[-1]
-    else:
-        raise ValueError(f"unknown crank moment method {method!r}")
-    return MomentSeries(k=1, j=j, series=series, method=method)
+        return _combinatorial_moment(1, j, order)
+    if method == "eisenstein":
+        return crank_moments(j, order)[-1]
+    raise ValueError(f"unknown crank moment method {method!r}")
 
 
 # -- the multisum oracle ------------------------------------------------

@@ -67,10 +67,9 @@ def cmd_table_moments(args: argparse.Namespace) -> int:
         raise ConfigError("table moments needs --j >= 0")
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
-    moment = fn.rank_moment(args.k, args.j, args.order, args.method)
-    coefficients = list(map(str, moment.series.coeffs))
+    coefficients = list(map(str, fn.rank_moment(args.k, args.j, args.order, args.method).coeffs))
     payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
-               "method": moment.method, "coefficients": coefficients}
+               "method": args.method, "coefficients": coefficients}
     return _write_table(args, "n,coefficient", enumerate(coefficients), payload)
 
 

@@ -1,6 +1,7 @@
 """Command-line harness: formats, exit codes, determinism, round-trips."""
 
 import gc
+import hashlib
 import inspect
 import json
 import os
@@ -468,6 +469,12 @@ class TestVerifyCommand:
         assert out == "PASS counts: N_2 enumeration = count series (n<=25, |m|<=6)\n"
         assert "rank moments require k >= 3" in err
 
+    @pytest.mark.parametrize("suite", ["traces", "integrality", "pattern"])
+    def test_family_suites_name_the_flag_for_k2(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--k", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite!r} needs --k >= 3\n"
+
     def test_all_prints_every_result_then_the_total(self, capsys, monkeypatch):
         def suite(name, passed):
             return lambda **kwargs: [verify.CheckResult(f"{name} {i}", passed) for i in range(2)]
@@ -861,3 +868,16 @@ class TestGarbageCollectorPolicy:
         found = cyclic_garbage(lambda: codes.append(main(argv)))
         assert codes == [code]
         assert found <= parser_only
+
+
+EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text("ascii")
+)
+
+
+@pytest.mark.parametrize("command", sorted(EXPECTED))
+def test_benchmark_command_prints_its_recorded_bytes(capsys, command):
+    clear_caches()
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPECTED[command]

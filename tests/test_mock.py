@@ -218,14 +218,14 @@ class TestTraceIdentity:
         # The w^2 layer states R_{k,2}/2 = (f_{k,2} + 1/24)/(q)_inf.
         k, order = 4, 18
         fam = mock_eisenstein_family(k, 2, order)
-        lhs = rank_moment(k, 2, order, "direct").series / 2
+        lhs = rank_moment(k, 2, order, "direct") / 2
         rhs = (fam.member(2) + F(1, 24)) * partition_series(order)
         assert lhs == rhs
 
     def test_uncorrected_identity_fails_at_w0(self):
         # Dropping the theta shift breaks the w^0 layer at q^{k-1}.
         k, order = 3, 10
-        zeroth = rank_moment(k, 0, order, "direct").series
+        zeroth = rank_moment(k, 0, order, "direct")
         assert zeroth != partition_series(order)
         assert zeroth.coeff(k - 1) != partition_series(order).coeff(k - 1)
 
@@ -241,7 +241,7 @@ class TestTraceIdentity:
         top, order = 10, 30
         e = euler_product(order)
         entries = {
-            j: (rank_moment(k, j, order, "direct").series * e) / factorial(j)
+            j: (rank_moment(k, j, order, "direct") * e) / factorial(j)
             for j in range(top + 1)
         }
         entries[0] = entries[0] + theta_series(1, 2 * k - 1, order)
@@ -267,7 +267,7 @@ class TestTraceIdentity:
 class TestIntegrality:
     def test_family_passes(self):
         fam = mock_eisenstein_family(3, 8, 25)
-        assert integrality_check(fam).ok
+        assert integrality_check(fam).passed
 
     def test_trivial_families_pass(self):
         # vacuous: nothing to check
@@ -275,7 +275,7 @@ class TestIntegrality:
             k=3, max_j=0, order=6, route="recursionA", extrapolated=False,
             members={},
         )
-        assert integrality_check(empty).ok
+        assert integrality_check(empty).passed
         # zero in the shifted sense: members carry only their forced
         # constants, so every shifted coefficient is 0
         constants_only = MockFamily(
@@ -285,7 +285,7 @@ class TestIntegrality:
                 4: QSeries.constant(-bernoulli(4) / 8, 6),
             },
         )
-        assert integrality_check(constants_only).ok
+        assert integrality_check(constants_only).passed
 
     def test_perturbed_family_fails(self):
         base = mock_eisenstein_family(3, 4, 10)
@@ -295,16 +295,17 @@ class TestIntegrality:
             k=3, max_j=4, order=10, route="recursionA", extrapolated=False,
             members=members,
         )
-        report = integrality_check(bad)
-        assert not report.ok
-        assert (report.j, report.n) == (4, 3)
-        assert report.value == F(3, 2)
+        assert integrality_check(bad) == (
+            "integrality: k=3, j<=4, order 10",
+            False,
+            "member j=4: coefficient of q^3 is 3/2",
+        )
 
     def test_cached_family_is_read_only(self):
         fam = mock_eisenstein_family(3, 4, 10)
         with pytest.raises(TypeError):
             fam.members[2] = QSeries.monomial(F(1, 2), 3, 10)
-        assert integrality_check(mock_eisenstein_family(3, 4, 10)).ok
+        assert integrality_check(mock_eisenstein_family(3, 4, 10)).passed
 
     def test_family_does_not_alias_the_callers_dict(self):
         members = {2: QSeries.constant(-bernoulli(2) / 4, 6)}
@@ -313,26 +314,26 @@ class TestIntegrality:
             members=members,
         )
         members[2] = QSeries.monomial(F(1, 2), 3, 6)
-        assert integrality_check(fam).ok
+        assert integrality_check(fam).passed
 
 
 class TestLeadingPattern:
     def test_k3_j4(self):
         fam = mock_eisenstein_family(3, 4, 6)
         assert [fam.member(4).coeff(3 + i) for i in range(3)] == [1, 15, 65]
-        assert leading_pattern_check(3, 4, 6, fam).ok
+        assert leading_pattern_check(3, 4, 6, fam).passed
 
     def test_k5_j2(self):
         fam = mock_eisenstein_family(5, 2, 10)
         assert [fam.member(2).coeff(5 + i) for i in range(5)] == [1, 3, 5, 7, 9]
-        assert leading_pattern_check(5, 2, 10, fam).ok
+        assert leading_pattern_check(5, 2, 10, fam).passed
 
     def test_k4_j8(self):
         fam = mock_eisenstein_family(4, 8, 8)
         assert [fam.member(8).coeff(4 + i) for i in range(4)] == [
             1, 255, 6305, 58975,
         ]
-        assert leading_pattern_check(4, 8, 8, fam).ok
+        assert leading_pattern_check(4, 8, 8, fam).passed
 
     def test_detects_wrong_coefficient(self):
         base = mock_eisenstein_family(3, 4, 6)
@@ -342,9 +343,23 @@ class TestLeadingPattern:
             k=3, max_j=4, order=6, route="recursionA", extrapolated=False,
             members=members,
         )
-        report = leading_pattern_check(3, 4, 6, bad)
-        assert not report.ok
-        assert "q^4" in report.detail
+        assert leading_pattern_check(3, 4, 6, bad) == (
+            "pattern: f_{3,4} leading coefficients",
+            False,
+            "coefficient of q^4 is 16, expected 15",
+        )
+
+    def test_detects_wrong_constant(self):
+        members = {2: mock_eisenstein_family(3, 2, 6).member(2) + 1}
+        bad = MockFamily(
+            k=3, max_j=2, order=6, route="recursionA", extrapolated=False,
+            members=members,
+        )
+        assert leading_pattern_check(3, 2, 6, bad) == (
+            "pattern: f_{3,2} leading coefficients",
+            False,
+            "constant 23/24 != -1/24",
+        )
 
     def test_order_precondition(self):
         with pytest.raises(ValueError):

@@ -484,8 +484,8 @@ class TestStorageAgainstOracle:
             lambda: theta_series(1, 5, 20),
             lambda: theta_deriv(1, 5, 2, 20),
             lambda: krank_count_series(3, 1, 15),
-            lambda: rank_moment(3, 4, 15, "direct").series,
-            lambda: rank_moment(3, 4, 15, "combinatorial").series,
+            lambda: rank_moment(3, 4, 15, "direct"),
+            lambda: rank_moment(3, 4, 15, "combinatorial"),
             lambda: q_pochhammer(4, 12),
             lambda: partition_series(12),
             lambda: mock_eisenstein_family(3, 6, 12).member(6),

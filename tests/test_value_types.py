@@ -1,16 +1,15 @@
 """The small immutable record types of the library: construction, repr,
 equality, hashing and immutability."""
 
-from fractions import Fraction as F
 from types import MappingProxyType
 
 import pytest
 
-from mockeis.functions import MomentSeries
-from mockeis.mock import MockFamily
+from mockeis.functions import crank_moment, rank_moment
+from mockeis.mock import MockFamily, mock_eisenstein_family
 from mockeis.partitions import CountTable
 from mockeis.qseries import QSeries
-from mockeis.verify import CheckResult, IntegralityReport, PatternReport
+from mockeis.verify import CheckResult, integrality_check, leading_pattern_check
 
 SERIES = QSeries([0, 1])
 
@@ -24,30 +23,6 @@ CASES = [
         CheckResult("s", True, "x"),
         "CheckResult(name='s', passed=True, detail='')",
         True,
-    ),
-    (
-        PatternReport,
-        (False, "q^4"),
-        {"ok": False, "detail": "q^4"},
-        PatternReport(True, "q^4"),
-        "PatternReport(ok=False, detail='q^4')",
-        True,
-    ),
-    (
-        IntegralityReport,
-        (False, 4, 3, F(3, 2)),
-        {"ok": False, "j": 4, "n": 3, "value": F(3, 2)},
-        IntegralityReport(False, 4, 2, F(3, 2)),
-        "IntegralityReport(ok=False, j=4, n=3, value=Fraction(3, 2))",
-        True,
-    ),
-    (
-        MomentSeries,
-        (3, 2, SERIES, "direct"),
-        {"k": 3, "j": 2, "series": SERIES, "method": "direct"},
-        MomentSeries(3, 2, QSeries([0, 2]), "direct"),
-        "MomentSeries(k=3, j=2, series=QSeries(order=1: q), method='direct')",
-        False,
     ),
     (
         CountTable,
@@ -118,6 +93,13 @@ def test_family_members_are_a_read_only_copy():
 
 def test_defaults():
     assert CheckResult("s", False).detail == ""
-    assert PatternReport(True).detail == ""
-    report = IntegralityReport(True)
-    assert (report.j, report.n, report.value) == (None, None, None)
+
+
+def test_checks_return_a_check_result_and_moments_a_series():
+    family = mock_eisenstein_family(3, 4, 6)
+    assert integrality_check(family) == CheckResult("integrality: k=3, j<=4, order 6", True)
+    assert leading_pattern_check(3, 4, 6, family) == CheckResult(
+        "pattern: f_{3,4} leading coefficients", True
+    )
+    assert type(rank_moment(3, 2, 4, "direct")) is QSeries
+    assert type(crank_moment(2, 4, "eisenstein")) is QSeries
