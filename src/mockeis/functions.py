@@ -16,7 +16,7 @@ from . import partitions as pt
 from .divisor import divisor_like_sum, eisenstein
 from .errors import FractionalExponentError, WindowTooLargeError
 from .qseries import QSeries, check_order, partition_series, q_pochhammer
-from .wjets import WJet, build_jet, jet_exp, rational_jet, two_sinh_half_over_w
+from .wjets import WJet, member_exp, rational_jet, two_sinh_half_over_w
 
 RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 
@@ -146,11 +146,7 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> QSeries:
 
 def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
     """exp(scale * sum_{k>=2} G_k w^k/k!) on [0, max_deg]."""
-    entries = {
-        k: eisenstein(k, q_order) * Fraction(scale, factorial(k))
-        for k in range(2, max_deg + 1, 2)
-    }
-    return jet_exp(build_jet(entries, 2, max_deg, q_order))
+    return member_exp(lambda k: eisenstein(k, q_order), scale, max_deg, q_order)
 
 
 def crank_moments(max_j: int, order: int) -> List[QSeries]:

@@ -64,8 +64,8 @@ def partition_trace(
 ) -> QSeries:
     """Tr_n(weight, f) = sum_{lambda of n} weight(lambda) prod_k f_k^{l_k}.
 
-    ``members`` maps a part size to its series; odd members are expected
-    to be zero series.  Tr_0 = 1 (empty product).  ``monomials`` may be a
+    ``members`` maps a part size to its series, and is called once per part
+    size; odd members are expected to be zero series.  Tr_0 = 1.  ``monomials`` may be a
     dict shared by calls with the same members and order: it keeps the
     nonzero monomial of every partition met, so that each costs one product.
     """
@@ -75,28 +75,29 @@ def partition_trace(
         raise ValueError(f"unknown trace weight {weight!r}") from None
     if monomials is None:
         monomials = {}
+    factors = [None, *(None if f.is_zero() else f for f in map(members, range(1, n + 1)))]
     total = QSeries.zero(order)
     for lam in partitions_of(n):
-        term = _monomial(lam, members, order, monomials)
+        term = _monomial(lam, factors, order, monomials)
         if term is not None:
             total = total + term * weigh(lam)
     return total
 
 
-def _monomial(lam: Tuple[int, ...], members: Members, order: int, monomials: dict):
+def _monomial(lam: Tuple[int, ...], factors: list, order: int, monomials: dict):
     """prod_k f_k^{l_k} over the parts of lam, or None if a part's member is zero.
 
-    mono(lam) = mono(lam[:-1]) * members(lam[-1]).  Only the nonzero
-    monomials are kept in ``monomials``: with zero odd members most
-    partitions are dead, and a dead one is found again within its run of
-    trailing live parts.
+    mono(lam) = mono(lam[:-1]) * factors[lam[-1]], where factors[k] is f_k, or
+    None if f_k is zero.  Only the nonzero monomials are kept in
+    ``monomials``: with zero odd members most partitions are dead, and a dead
+    one is found again within its run of trailing live parts.
     """
     if not lam:
         return QSeries.one(order)
     term = monomials.get(lam)
     if term is None:
-        factor = members(lam[-1])
-        head = None if factor.is_zero() else _monomial(lam[:-1], members, order, monomials)
+        factor = factors[lam[-1]]
+        head = None if factor is None else _monomial(lam[:-1], factors, order, monomials)
         if head is None:
             return None
         term = monomials[lam] = head * factor

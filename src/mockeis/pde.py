@@ -24,13 +24,12 @@ the right-hand side's -24 w^{-5} is the w-form of (3i)/(4 pi^5 z^5).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .errors import ConfigError
 from .functions import eisenstein, eisenstein_exponential, theta_series
 from .mock import mock_eisenstein_family
 from .qseries import QSeries
-from .wjets import WJet, build_jet, exp_cw, jet_exp, reciprocal_two_sinh_half
+from .wjets import WJet, exp_cw, member_exp, reciprocal_two_sinh_half
 
 
 def appell5_jet(max_deg: int, q_order: int) -> WJet:
@@ -40,20 +39,11 @@ def appell5_jet(max_deg: int, q_order: int) -> WJet:
     need_j = max_deg + 1 if (max_deg + 1) % 2 == 0 else max_deg + 2
     family = mock_eisenstein_family(3, need_j, q_order)
 
-    exponent = build_jet(
-        {
-            j: family.member(j) * Fraction(2, factorial(j))
-            for j in range(2, max_deg + 2, 2)
-        },
-        2,
-        max_deg + 1,
-        q_order,
-    )
     th15 = theta_series(1, 5, q_order)
     th35 = theta_series(3, 5, q_order)
     inv_sinh = reciprocal_two_sinh_half(max_deg + 1, q_order)
 
-    term1 = -jet_exp(exponent).shift(-1)
+    term1 = -member_exp(family.member, 2, max_deg + 1, q_order).shift(-1)
     term2 = inv_sinh.scale(th15)
     term3 = -(exp_cw(1, max_deg + 1, q_order) * inv_sinh).scale(th15)
     term4 = -exp_cw(Fraction(3, 2), max_deg, q_order).scale(th35)

@@ -76,31 +76,24 @@ def cmd_table_moments(args: argparse.Namespace) -> int:
 def cmd_table_traces(args: argparse.Namespace) -> int:
     from . import mock
     from .partitions import PARTITION_CEILING
+    from .wjets import member_exp
 
     _check_k(args)
     if args.max_j < 0:
         raise ConfigError("table traces needs --maxj >= 0")
     if args.max_j > PARTITION_CEILING:
-        # Tr_j sums over the partitions of j; fail before building the family.
+        # The documented bound, within which enumeration can check the table.
         raise WindowTooLargeError(
             f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
         )
     if args.order < 1:
         raise ConfigError("--order must be >= 1")
     family = mock.mock_eisenstein_family(
-        args.k,
-        max(2, args.max_j + (args.max_j % 2)),
-        args.order,
-        args.route,
-        allow_k2=args.allow_k2,
+        args.k, max(2, args.max_j + args.max_j % 2), args.order, args.route, allow_k2=args.allow_k2
     )
-    monomials: dict = {}
-    traces = {
-        str(j): list(
-            map(str, mock.partition_trace(j, family.member, args.order, "phi", monomials).coeffs)
-        )
-        for j in range(args.max_j + 1)
-    }
+    # sum_j Tr_j(phi, f) w^j = exp(2 sum_j f_j w^j/j!): the exponential formula.
+    expo = member_exp(family.member, 2, max(1, args.max_j), args.order)
+    traces = {str(j): list(map(str, expo.coeff(j).coeffs)) for j in range(args.max_j + 1)}
     payload = {"object": "trace_table", "k": args.k, "max_j": args.max_j,
                "order": args.order, "traces": traces}
     rows = ((j, n, c) for j, coefficients in traces.items() for n, c in enumerate(coefficients))

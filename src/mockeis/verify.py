@@ -365,4 +365,9 @@ def iter_suites(
     # These suites build the family, whose k = 2 extrapolation verify has no flag for.
     if name in ("traces", "integrality", "pattern") and min(given.get("--k", (3,))) < 3:
         raise ConfigError(f"suite {name!r} needs --k >= 3")
+    # The trace suites need an even --maxj, and the family suites one >= 2.
+    least = {"traces": 0, "crank": 0, "integrality": 2, "pattern": 2}.get(name)
+    max_j = given.get("--maxj", least)
+    if least is not None and (max_j % 2 or max_j < least):
+        raise ConfigError(f"suite {name!r} needs an even --maxj >= {least}")
     yield SUITES[name](**{params[flag]: v for flag, v in given.items()})

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Dict, Sequence
+from typing import Callable, Dict, Sequence
 
 from .errors import ConstantTermError, WindowUnderflowError
 from .qseries import QSeries
@@ -185,6 +185,19 @@ def jet_exp(a: WJet) -> WJet:
         b.append(acc / n)
         live.append(not b[n].is_zero())
     return WJet(0, b)
+
+
+def member_exp(
+    members: Callable[[int], QSeries], scale: int, max_deg: int, q_order: int
+) -> WJet:
+    """exp(scale * sum_{even j <= max_deg} members(j) w^j/j!) on [0, max_deg].
+
+    By the exponential formula (Stanley, Enumerative Combinatorics vol. 2,
+    1999, ch. 5), scale 2 gives the partition traces Tr_n(phi, members) as
+    the coefficients of w^n, and scale -2 gives Tr_n(psi, members).
+    """
+    entries = {j: members(j) * Fraction(scale, factorial(j)) for j in range(2, max_deg + 1, 2)}
+    return jet_exp(build_jet(entries, 1, max_deg, q_order))
 
 
 def jet_log(a: WJet) -> WJet:

@@ -197,6 +197,19 @@ class TestTableCommand:
         # Tr_2 = f_{3,2}
         assert payload["traces"]["2"] == ["-1/24", "0", "0", "1", "3", "5", "7"]
 
+    def test_traces_are_the_partition_traces(self, capsys):
+        # The table reads the traces off the exponential formula; enumeration checks it.
+        code, out, _ = run_cli(
+            capsys, "table", "traces", "--k", "4", "--maxj", "12", "--order", "30",
+            "--format", "json",
+        )
+        assert code == 0
+        family = mock.mock_eisenstein_family(4, 12, 30)
+        assert json.loads(out)["traces"] == {
+            str(j): list(map(str, mock.partition_trace(j, family.member, 30).coeffs))
+            for j in range(13)
+        }
+
     def test_invalid_window_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "50"
@@ -474,6 +487,17 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--k", "2")
         assert (code, out) == (2, "")
         assert err == f"error: suite {suite!r} needs --k >= 3\n"
+
+    @pytest.mark.parametrize(
+        "suite, maxj, least",
+        [("traces", 3, 0), ("crank", 3, 0), ("integrality", 3, 2), ("integrality", 0, 2),
+         ("pattern", 3, 2), ("pattern", 0, 2)],
+    )
+    def test_even_maxj_suites_name_the_flag(self, capsys, monkeypatch, suite, maxj, least):
+        monkeypatch.setitem(verify.SUITES, suite, lambda **kwargs: pytest.fail("suite ran"))
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--maxj", str(maxj))
+        assert (code, out) == (2, "")
+        assert err == f"error: suite {suite!r} needs an even --maxj >= {least}\n"
 
     def test_all_prints_every_result_then_the_total(self, capsys, monkeypatch):
         def suite(name, passed):
@@ -813,6 +837,7 @@ COMMAND_SHAPES = [
     ("table moments --k 3 --j 4 --order 12 --method combinatorial", 0),
     ("table moments --k 4 --j 2 --order 12 --format json", 0),
     ("table traces --k 3 --maxj 4 --order 8 --format json", 0),
+    ("table traces --k 4 --maxj 6 --order 10 --route recursionB", 0),
     ("verify --suite counts --k 3 --maxn 8 --maxm 2", 0),
     ("verify --suite moments --k 3 --maxj 2 --order 8", 0),
     ("verify --suite traces --k 3 --maxj 2 --order 8", 0),
@@ -823,6 +848,7 @@ COMMAND_SHAPES = [
     ("verify --suite theta-ode --order 8", 0),
     ("table Nk --k 3 --maxm 2 --maxn 50", 2),
     ("verify --suite pde --k 3", 2),
+    ("verify --suite traces --maxj 3", 2),
     ("f --k 3 --route recursionB --j 44 --order 2", 2),
 ]
 

@@ -32,7 +32,7 @@ from mockeis.verify import (
     leading_pattern_check,
     trace_identity_residuals,
 )
-from mockeis.wjets import build_jet, jet_exp, rational_jet, two_sinh_half_over_w
+from mockeis.wjets import build_jet, jet_exp, member_exp, rational_jet, two_sinh_half_over_w
 
 # Published low-order coefficients of f_{k,j}; full prefixes, constants
 # included.  (The (4,6) row's q^8 entry appears with a misprinted
@@ -144,14 +144,20 @@ class TestTraces:
             partition_trace(6, fam.member, 8)
 
     @pytest.mark.parametrize("weight,scale", [("phi", 2), ("psi", -2)])
-    def test_cycle_index_consistency(self, weight, scale):
-        # sum_n Tr_n(weight, f) w^n = exp(scale * sum_j f_j w^j / j!)
-        order, top = 30, 10
-        fam = mock_eisenstein_family(3, top, order)
+    @pytest.mark.parametrize("family", ["k=3", "k=4", "eisenstein"])
+    def test_cycle_index_consistency(self, family, weight, scale):
+        # sum_n Tr_n(weight, f) w^n = exp(scale * sum_j f_j w^j / j!), the
+        # exponential formula: by enumeration, by member_exp, and by a jet
+        # built here by hand, so that member_exp is not its own reference.
+        order, top = 30, 16
+        if family == "eisenstein":
+            members = eisenstein_members(order)
+        else:
+            members = mock_eisenstein_family(int(family[-1]), top, order).member
         expo = jet_exp(
             build_jet(
                 {
-                    j: fam.member(j) * F(scale, factorial(j))
+                    j: members(j) * F(scale, factorial(j))
                     for j in range(2, top + 1, 2)
                 },
                 2,
@@ -159,8 +165,25 @@ class TestTraces:
                 order,
             )
         )
+        helper = member_exp(members, scale, top, order)
+        monomials = {}
         for n in range(top + 1):
-            assert partition_trace(n, fam.member, order, weight) == expo.coeff(n)
+            trace = partition_trace(n, members, order, weight, monomials)
+            assert trace == expo.coeff(n) == helper.coeff(n)
+
+    def test_a_trace_resolves_each_part_once(self):
+        # Tr_n walks every partition of n, but asks for each part's member once.
+        fam = mock_eisenstein_family(3, 12, 20)
+        calls = Counter()
+
+        def counted(j):
+            calls[j] += 1
+            return fam.member(j)
+
+        for n in range(13):
+            calls.clear()
+            assert partition_trace(n, counted, 20) == partition_trace(n, fam.member, 20)
+            assert sum(calls.values()) <= n
 
 
     @pytest.mark.parametrize("weight", ["phi", "psi"])
