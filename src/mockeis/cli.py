@@ -111,18 +111,8 @@ def cmd_f(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    flags = {
-        "--k": (args.k,) if args.k is not None else None,
-        "--maxj": args.max_j,
-        "--maxn": args.max_n,
-        "--maxm": args.max_m,
-        "--order": args.order,
-    }
-    if args.order is not None and args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    for flag in ("--maxj", "--maxn", "--maxm"):
-        if flags[flag] is not None and flags[flag] < 0:
-            raise ConfigError(f"{flag} must be >= 0")
+    flags = {"--k": None if args.k is None else (args.k,), "--maxj": args.max_j,
+             "--maxn": args.max_n, "--maxm": args.max_m, "--order": args.order}
     total = failed = 0
     # Each suite's lines are printed as it finishes, so an error in a later
     # suite (exit 2) does not discard the results already computed.

@@ -118,11 +118,8 @@ def durfee_sizes(parts: Partition) -> Tuple[int, ...]:
     rest = tuple(parts)
     while rest:
         d = 0
-        for r in range(1, len(rest) + 1):
-            if rest[r - 1] >= r:
-                d = r
-            else:
-                break
+        while d < len(rest) and rest[d] > d:
+            d += 1
         sizes.append(d)
         rest = rest[d:]
     return tuple(sizes)

@@ -7,6 +7,18 @@ import argparse
 
 from .cli import _check_k, _emit
 from .errors import ConfigError, WindowTooLargeError
+from .partitions import PARTITION_CEILING, count_table
+
+
+def _check_range(kind: str, flag: str, value: int, least: int, enumerated: bool = False) -> None:
+    """Refuse, before any work, a value below ``least`` or one above the
+    enumeration ceiling, within which enumeration can check the table."""
+    if value < least:
+        raise ConfigError(f"table {kind} needs {flag} >= {least}")
+    if enumerated and value > PARTITION_CEILING:
+        raise WindowTooLargeError(
+            f"{flag} {value} exceeds the enumeration ceiling {PARTITION_CEILING}"
+        )
 
 
 def cmd_table_nk(args: argparse.Namespace) -> int:
@@ -16,9 +28,9 @@ def cmd_table_nk(args: argparse.Namespace) -> int:
     and a tail: the csv lines, or ``json.dumps`` of the payload whose
     ``entries`` are the [m, n, count] lists.
     """
-    from .partitions import count_table
-
     _check_k(args)
+    _check_range("Nk", "--maxm", args.max_m, 0)
+    _check_range("Nk", "--maxn", args.max_n, 0, enumerated=True)
     table = count_table(args.k, args.max_m, args.max_n)
     if args.fmt == "csv":
         head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
@@ -62,11 +74,9 @@ def _write_table(args: argparse.Namespace, head: str, rows, payload: dict) -> in
 def cmd_table_moments(args: argparse.Namespace) -> int:
     from . import functions as fn
 
-    # rank_moment itself rejects k < 3 before any work.
-    if args.j < 0:
-        raise ConfigError("table moments needs --j >= 0")
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
+    _check_range("moments", "--k", args.k, 3)
+    _check_range("moments", "--j", args.j, 0)
+    _check_range("moments", "--order", args.order, 1)
     coefficients = list(map(str, fn.rank_moment(args.k, args.j, args.order, args.method).coeffs))
     payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
                "method": args.method, "coefficients": coefficients}
@@ -75,19 +85,11 @@ def cmd_table_moments(args: argparse.Namespace) -> int:
 
 def cmd_table_traces(args: argparse.Namespace) -> int:
     from . import mock
-    from .partitions import PARTITION_CEILING
     from .wjets import member_exp
 
     _check_k(args)
-    if args.max_j < 0:
-        raise ConfigError("table traces needs --maxj >= 0")
-    if args.max_j > PARTITION_CEILING:
-        # The documented bound, within which enumeration can check the table.
-        raise WindowTooLargeError(
-            f"--maxj {args.max_j} exceeds the enumeration ceiling {PARTITION_CEILING}"
-        )
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
+    _check_range("traces", "--maxj", args.max_j, 0, enumerated=True)
+    _check_range("traces", "--order", args.order, 1)
     family = mock.mock_eisenstein_family(
         args.k, max(2, args.max_j + args.max_j % 2), args.order, args.route, allow_k2=args.allow_k2
     )

@@ -193,17 +193,16 @@ def suite_counts(
     max_m: Optional[int] = None,
 ) -> List[CheckResult]:
     """N_k(m,n): enumeration vs the count series, plus the multisum for k=3."""
+    # By default the slower multisum oracle checks a smaller window.
+    n_top, n3 = (25, 15) if max_n is None else (max_n, max_n)
+    m_top, m3 = (6, 5) if max_m is None else (max_m, max_m)
     results = []
     for k in ks:
-        n_top = 25 if max_n is None else max_n
-        m_top = 6 if max_m is None else max_m
         table = pt.count_table(k, m_top, n_top)
         series = {m: fn.krank_count_series(k, m, n_top) for m in range(-m_top, m_top + 1)}
         name = f"counts: N_{k} enumeration = count series (n<={n_top}, |m|<={m_top})"
         results.append(_count_check(name, "series", table, series))
         if k == 3:
-            n3 = min(15, n_top) if max_n is None else max_n
-            m3 = min(5, m_top) if max_m is None else max_m
             small = pt.count_table(3, m3, n3)
             multi = fn.multisum_count_table(3, m3, n3)
             rows = {
@@ -325,19 +324,36 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-# CLI flag -> suite parameter, per suite.  A suite named on its own
-# rejects a flag it does not list; under "all" each suite takes only the
-# flags it lists.
-SUITE_FLAGS: Dict[str, Dict[str, str]] = {
-    "counts": {"--k": "ks", "--maxn": "max_n", "--maxm": "max_m"},
-    "moments": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
-    "traces": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
-    "crank": {"--maxj": "max_j", "--order": "order"},
-    "integrality": {"--k": "ks", "--maxj": "max_j", "--order": "order"},
-    "pattern": {"--k": "ks", "--maxj": "max_j"},
-    "pde": {"--order": "q_order"},
-    "theta-ode": {"--order": "q_order"},
+# CLI flag -> the suite parameter it sets and the values it accepts: at
+# least ``least``, even if ``even``, and at most ``ceiling`` where the suite
+# enumerates partitions that large.  A suite named on its own rejects a flag
+# it does not list; under "all" each suite takes only the flags it lists.
+# The family suites need --k >= 3: verify has no flag for the k = 2 extrapolation.
+Flag = namedtuple("Flag", "param least even ceiling", defaults=(False, None))
+_K3, _ORDER, _FAMILY_J = Flag("ks", 3), Flag("order", 1), Flag("max_j", 2, True)
+_TRACE_J = Flag("max_j", 0, True, pt.PARTITION_CEILING)
+SUITE_FLAGS: Dict[str, Dict[str, Flag]] = {
+    "counts": {"--k": Flag("ks", 2), "--maxn": Flag("max_n", 0, False, pt.PARTITION_CEILING),
+               "--maxm": Flag("max_m", 0)},
+    "moments": {"--k": _K3, "--maxj": Flag("max_j", 0), "--order": _ORDER},
+    "traces": {"--k": _K3, "--maxj": _TRACE_J, "--order": _ORDER},
+    "crank": {"--maxj": _TRACE_J, "--order": Flag("order", 1, False, pt.PARTITION_CEILING)},
+    "integrality": {"--k": _K3, "--maxj": _FAMILY_J, "--order": _ORDER},
+    "pattern": {"--k": _K3, "--maxj": _FAMILY_J},
+    "pde": {"--order": Flag("q_order", 1)},
+    "theta-ode": {"--order": Flag("q_order", 1)},
 }
+
+
+def _check_flag(suite: str, flag: str, rule: Flag, value) -> None:
+    """Raise ``ConfigError`` unless ``rule`` accepts ``value`` (each value of a tuple)."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if v < rule.least or rule.even and v % 2:
+            even = "an even " if rule.even else ""
+            raise ConfigError(f"suite {suite!r} needs {even}{flag} >= {rule.least}")
+        if rule.ceiling is not None and v > rule.ceiling:
+            raise ConfigError(f"suite {suite!r}: {flag} {v} exceeds the enumeration "
+                              f"ceiling {rule.ceiling}")
 
 
 def iter_suites(
@@ -347,27 +363,20 @@ def iter_suites(
 
     ``flags`` are size overrides keyed by CLI flag; flags whose value is
     None are not given.  A value is passed as the suite parameter that
-    :data:`SUITE_FLAGS` maps the flag to.  Under 'all', an error in one
-    suite stops the run after the results of the suites before it.
+    :data:`SUITE_FLAGS` maps the flag to, once every flag of every suite to
+    run has passed its check there.  Under 'all', an error inside one suite
+    stops the run after the results of the suites before it.
     """
     given = {flag: v for flag, v in (flags or {}).items() if v is not None}
-    if name == "all":
-        for key in SUITES:
-            taken = {f: v for f, v in given.items() if f in SUITE_FLAGS[key]}
-            yield from iter_suites(key, taken)
-        return
-    if name not in SUITES:
-        raise KeyError(name)
-    params = SUITE_FLAGS[name]
-    unknown = [flag for flag in given if flag not in params]
-    if unknown:
-        raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
-    # These suites build the family, whose k = 2 extrapolation verify has no flag for.
-    if name in ("traces", "integrality", "pattern") and min(given.get("--k", (3,))) < 3:
-        raise ConfigError(f"suite {name!r} needs --k >= 3")
-    # The trace suites need an even --maxj, and the family suites one >= 2.
-    least = {"traces": 0, "crank": 0, "integrality": 2, "pattern": 2}.get(name)
-    max_j = given.get("--maxj", least)
-    if least is not None and (max_j % 2 or max_j < least):
-        raise ConfigError(f"suite {name!r} needs an even --maxj >= {least}")
-    yield SUITES[name](**{params[flag]: v for flag, v in given.items()})
+    calls = []
+    for key in list(SUITES) if name == "all" else [name]:
+        rules = SUITE_FLAGS[key]
+        unknown = [flag for flag in given if flag not in rules]
+        if unknown and name != "all":
+            raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
+        taken = {flag: v for flag, v in given.items() if flag in rules}
+        for flag, v in taken.items():
+            _check_flag(key, flag, rules[flag], v)
+        calls.append((key, {rules[flag].param: v for flag, v in taken.items()}))
+    for key, kwargs in calls:
+        yield SUITES[key](**kwargs)

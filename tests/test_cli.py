@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -16,8 +17,10 @@ import pytest
 import mockeis
 import mockeis.divisor
 import mockeis.functions
+import mockeis.tables
 from mockeis import cli, mock, verify
 from mockeis.cli import main
+from mockeis.errors import ConfigError
 from mockeis.partitions import count_table
 from mockeis.qseries import QSeries
 from mockeis.wjets import WJet
@@ -217,6 +220,18 @@ class TestTableCommand:
         assert code == 2
         assert "ceiling" in err
 
+    @pytest.mark.parametrize("max_m, max_n, message", [
+        ("-1", "3", "table Nk needs --maxm >= 0"),
+        ("2", "-1", "table Nk needs --maxn >= 0"),
+        ("2", "41", "--maxn 41 exceeds the enumeration ceiling 40"),
+    ])
+    def test_nk_names_the_flag_out_of_range(self, capsys, monkeypatch, max_m, max_n, message):
+        monkeypatch.setattr(mockeis.tables, "count_table", lambda *a: pytest.fail("ran"))
+        code, out, err = run_cli(
+            capsys, "table", "Nk", "--k", "3", "--maxm", max_m, "--maxn", max_n
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_traces_above_the_ceiling_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "table", "traces", "--k", "3", "--maxj", "41", "--order", "1"
@@ -260,7 +275,7 @@ class TestTableCommand:
     def test_moments_need_k_of_at_least_3(self, capsys, k):
         code, out, err = run_cli(capsys, "table", "moments", "--k", k, "--j", "2")
         assert (code, out) == (2, "")
-        assert "rank moments require k >= 3" in err
+        assert err == "error: table moments needs --k >= 3\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1)])
@@ -412,6 +427,19 @@ class TestReadme:
         assert code == 0, err
         assert out
 
+    def test_the_suite_table_is_suite_flags(self):
+        def accepts(rule):
+            even = "even " if rule.even else ""
+            if rule.ceiling is None:
+                return f"{even}>= {rule.least}"
+            return f"{even}{rule.least}..{rule.ceiling}"
+
+        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", README.read_text("utf-8"), re.M)
+        assert rows == [
+            (name, ", ".join(f"`{flag}` {accepts(rule)}" for flag, rule in flags.items()))
+            for name, flags in verify.SUITE_FLAGS.items()
+        ]
+
     def test_the_documented_output_is_printed(self, capsys):
         command = "mockeis f --k 3 --j 2 --order 8 --format text"
         code, out, _ = run_cli(capsys, *command.split()[1:])
@@ -475,12 +503,51 @@ class TestVerifyCommand:
             "N_3(1,5): multisum 2, enumeration 1",
         )
 
-    def test_all_prints_finished_suites_before_an_error(self, capsys):
-        # counts takes k = 2; moments rejects it after counts has run.
-        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--k", "2")
+    def test_all_prints_finished_suites_before_an_error(self, capsys, monkeypatch):
+        # Every flag passes its check; moments then fails after counts has run.
+        def moments(**kwargs):
+            raise ConfigError("moments failed")
+
+        monkeypatch.setitem(verify.SUITES, "moments", moments)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--k", "4", "--maxn", "10", "--maxm", "2"
+        )
         assert code == 2
-        assert out == "PASS counts: N_2 enumeration = count series (n<=25, |m|<=6)\n"
-        assert "rank moments require k >= 3" in err
+        assert out == "PASS counts: N_4 enumeration = count series (n<=10, |m|<=2)\n"
+        assert err == "error: moments failed\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("all --maxj 3", "suite 'traces' needs an even --maxj >= 0"),
+        ("all --order 41", "suite 'crank': --order 41 exceeds the enumeration ceiling 40"),
+        ("all --k 2", "suite 'moments' needs --k >= 3"),
+        ("moments --k 2", "suite 'moments' needs --k >= 3"),
+        ("counts --k 1", "suite 'counts' needs --k >= 2"),
+        ("counts --maxn 41", "suite 'counts': --maxn 41 exceeds the enumeration ceiling 40"),
+        ("traces --maxj 42", "suite 'traces': --maxj 42 exceeds the enumeration ceiling 40"),
+        ("crank --order 41", "suite 'crank': --order 41 exceeds the enumeration ceiling 40"),
+    ])
+    def test_a_refused_flag_runs_no_suite(self, capsys, monkeypatch, argv, message):
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda **kwargs: pytest.fail("suite ran"))
+        code, out, err = run_cli(capsys, "verify", "--suite", *argv.split())
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, params", [
+        ("crank --order 40 --maxj 40", {"order": 40, "max_j": 40}),
+        ("traces --maxj 40", {"max_j": 40}),
+        ("counts --maxn 40 --k 2", {"ks": (2,), "max_n": 40}),
+        ("pattern --maxj 2", {"max_j": 2}),
+    ])
+    def test_values_on_a_bound_reach_the_suite(self, capsys, monkeypatch, argv, params):
+        seen = []
+
+        def suite(**kwargs):
+            seen.append(kwargs)
+            return []
+
+        monkeypatch.setitem(verify.SUITES, argv.split()[0], suite)
+        code, out, _ = run_cli(capsys, "verify", "--suite", *argv.split())
+        assert (code, out, seen) == (0, "0/0 checks passed\n", [params])
 
     @pytest.mark.parametrize("suite", ["traces", "integrality", "pattern"])
     def test_family_suites_name_the_flag_for_k2(self, capsys, suite):
@@ -573,7 +640,7 @@ class TestVerifyCommand:
         assert set(verify.SUITE_FLAGS) == set(verify.SUITES)
         for name, table in verify.SUITE_FLAGS.items():
             params = inspect.signature(verify.SUITES[name]).parameters
-            assert set(table.values()) <= set(params)
+            assert {rule.param for rule in table.values()} <= set(params)
 
     def test_residual_details_name_the_first_nonzero_coefficient(self):
         a, b = QSeries([1, 2, 3, 4]), QSeries([1, 2, 5, 6, 7])
@@ -849,6 +916,8 @@ COMMAND_SHAPES = [
     ("table Nk --k 3 --maxm 2 --maxn 50", 2),
     ("verify --suite pde --k 3", 2),
     ("verify --suite traces --maxj 3", 2),
+    ("verify --suite all --maxj 3", 2),
+    ("verify --suite all --order 41", 2),
     ("f --k 3 --route recursionB --j 44 --order 2", 2),
 ]
 
