@@ -66,8 +66,10 @@ def partition_trace(
 
     ``members`` maps a part size to its series, and is called once per part
     size; odd members are expected to be zero series.  Tr_0 = 1.  ``monomials`` may be a
-    dict shared by calls with the same members and order: it keeps the
-    nonzero monomial of every partition met, so that each costs one product.
+    dict shared by calls with the same members and order, keyed by partition
+    code: over increasing n each nonzero monomial costs one product, and as
+    later traces read mu only as the head of mu + (p,), p <= mu[-1], each mu
+    with |mu| + mu[-1] <= n is dropped (a smaller n asked later rebuilds it).
     """
     try:
         weigh = _WEIGHTS[weight]
@@ -77,14 +79,16 @@ def partition_trace(
         monomials = {}
     factors = [None, *(None if f.is_zero() else f for f in map(members, range(1, n + 1)))]
     total = QSeries.zero(order)
-    for lam in partitions_of(n):
+    for lam in partitions_of(n).codes:
         term = _monomial(lam, factors, order, monomials)
         if term is not None:
             total = total + term * weigh(lam)
+    for mu in [mu for mu in monomials if sum(mu) + mu[-1] <= n]:
+        del monomials[mu]
     return total
 
 
-def _monomial(lam: Tuple[int, ...], factors: list, order: int, monomials: dict):
+def _monomial(lam: bytes, factors: list, order: int, monomials: dict):
     """prod_k f_k^{l_k} over the parts of lam, or None if a part's member is zero.
 
     mono(lam) = mono(lam[:-1]) * factors[lam[-1]], where factors[k] is f_k, or

@@ -31,6 +31,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from collections import Counter, namedtuple
+from collections.abc import Sequence
 from functools import lru_cache, wraps
 from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter
@@ -43,17 +44,18 @@ Partition = Tuple[int, ...]
 #: Brute-force enumeration ceiling: p(40) = 37338 partitions, and 215,307
 #: over 1 <= n <= 40.  ``partitions_of`` refuses any n above it.
 PARTITION_CEILING = 40
+assert PARTITION_CEILING <= 255  # so that every part fits in one byte of a code
 
 
 def _without_gc(func):
     """``func`` with the cyclic GC suspended while it runs.
 
-    Enumeration allocates hundreds of thousands of tuples, none of them in
-    a cycle, and with the GC on every young collection traverses the
-    growing result tuple again.  The caller's GC state is restored however
-    ``func`` ends, so nested calls leave it as the outermost caller had it.
-    This is the library path: a caller that keeps the GC on still pays one
-    traversal of each new tuple in the collections after the call.  The
+    The codes of ``partitions_of`` are ``bytes``, which the GC does not
+    track, but the tallies and histograms build tuples and dicts, none of
+    them in a cycle, that a young collection would traverse.  The caller's
+    GC state is restored however ``func`` ends, so nested calls leave it as
+    the outermost caller had it.  This is the library path: a caller that
+    keeps the GC on still pays one traversal of each new tuple after it.  The
     CLI process runs with the GC off (see ``cli.entrypoint``), where this
     wrapper leaves it off and costs nothing.
     """
@@ -71,17 +73,51 @@ def _without_gc(func):
     return run
 
 
-def _partitions_led_by(p: int, n: int) -> Iterator[Partition]:
-    """(p,) + mu over the partitions mu of n - p with first part <= p."""
-    rest = partitions_of(n - p)  # reverse-lex: those led by <= p are a suffix
+class Partitions(Sequence):
+    """The partitions of one n as a read-only sequence of tuples.
+
+    ``codes`` holds them as ``bytes``, one byte per part: 10.7 MiB up to the
+    ceiling against 27.8 MiB as tuples (``sys.getsizeof``), and no GC header.
+    The view equals the tuple of its tuples; it is not hashable, and has no ``+``.
+    """
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: Tuple[bytes, ...]):
+        self._codes = codes
+
+    codes = property(lambda self: self._codes)
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, index):
+        codes = self._codes[index]
+        return tuple(map(tuple, codes)) if isinstance(index, slice) else tuple(codes)
+
+    def __iter__(self) -> Iterator[Partition]:
+        return map(tuple, self._codes)
+
+    def __eq__(self, other) -> bool:  # defining it leaves __hash__ None
+        if isinstance(other, Partitions):
+            return self._codes == other._codes
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return f"Partitions({tuple(self)!r})"
+
+
+def _partitions_led_by(p: int, n: int) -> Iterator[bytes]:
+    """The codes of (p,) + mu over the partitions mu of n - p with first part <= p."""
+    rest = partitions_of(n - p).codes  # reverse-lex: those led by <= p are a suffix
     start = bisect_left(rest, -p, key=lambda mu: -mu[0])
-    return map(add, repeat((p,)), islice(rest, start, None))
+    return map(add, repeat(bytes((p,))), islice(rest, start, None))
 
 
 @lru_cache(maxsize=None)
 @_without_gc
-def partitions_of(n: int) -> Tuple[Partition, ...]:
-    """All partitions of n, reverse-lexicographically, each exactly once."""
+def partitions_of(n: int) -> Partitions:
+    """All partitions of n, reverse-lexicographically, each once: a cached read-only view."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n > PARTITION_CEILING:
@@ -90,10 +126,10 @@ def partitions_of(n: int) -> Tuple[Partition, ...]:
             f"ceiling {PARTITION_CEILING}"
         )
     if n == 0:
-        return ((),)
+        return Partitions((b"",))
     # (n,), then the blocks led by n-1 .. 1, with no intermediate list.
     blocks = map(_partitions_led_by, range(n - 1, 0, -1), repeat(n))
-    return tuple(chain(((n,),), chain.from_iterable(blocks)))
+    return Partitions(tuple(chain((bytes((n,)),), chain.from_iterable(blocks))))
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -190,7 +226,7 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     tuple per value.  Only mu[0] == mu[1] is walked; the rest is the tally
     of n-1, shifted.  The cache holds at most PARTITION_CEILING entries per k.
     """
-    parts = partitions_of(n)
+    parts = partitions_of(n).codes
     # Top-row lemma: a 1-free mu with mu[0] > mu[1] (0 if absent) and mu[0] >= 3
     # less one top-row cell is a 1-free partition of n-1 with the same squares
     # (row 0 counts toward d1 = #{i : mu[i] > i} either way) and both values
@@ -272,8 +308,8 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
                 counts.update(dict(zip(*tally[k - 1 - r])))
         if n == k - 1:
             counts[0] += 1
-    else:
-        counts = Counter(map(crank if k == 1 else rank, partitions_of(n)))
+    else:  # k = 1 only at n >= 2: crank refuses (1,) but not its code b"\x01"
+        counts = Counter(map(crank if k == 1 else rank, partitions_of(n).codes))
     return tuple(sorted(counts.items()))
 
 

@@ -218,6 +218,37 @@ class TestTraces:
             assert again == fresh
             assert calls == []
 
+    def test_a_trace_drops_the_monomials_no_later_trace_reads(self):
+        # A trace of n leaves no mu with |mu| + mu[-1] <= n, and keeps the
+        # nonzero monomial of each partition of n.
+        order = 10
+        dense = {j: QSeries([F(j, 5), 1, -j, *range(order - 2)]) for j in range(1, 13)}
+        fam = mock_eisenstein_family(3, 12, order)
+        for members in (dense.__getitem__, fam.member):
+            monomials = {}
+            for n in range(13):
+                partition_trace(n, members, order, "phi", monomials)
+                assert all(sum(mu) + mu[-1] > n for mu in monomials)
+                codes = partitions_of(n).codes if n else ()  # () is never stored
+                live = {mu for mu in codes if not any(members(p).is_zero() for p in mu)}
+                assert live <= monomials.keys()
+            assert len(monomials) >= len(live) > 0
+
+    @pytest.mark.parametrize("weight", ["phi", "psi"])
+    def test_out_of_order_traces_share_one_dict(self, weight):
+        # The dropped monomials are only a cache: any order of sizes, with
+        # gaps and repeats, gives the fresh traces.
+        order = 10
+        dense = {j: QSeries([F(j, 7), -1, j, *range(order - 2)]) for j in range(1, 13)}
+        fam = mock_eisenstein_family(4, 12, order)
+        for members in (dense.__getitem__, fam.member):
+            fresh = [partition_trace(n, members, order, weight) for n in range(13)]
+            for ns in ([12, 3, 7, 7, 0, 11, 2, 9], [5, 6, 1, 12, 4, 10, 8, 12, 2]):
+                monomials = {}
+                assert [partition_trace(n, members, order, weight, monomials) for n in ns] == [
+                    fresh[n] for n in ns
+                ]
+
     def test_recursion_b_products(self, monkeypatch):
         # Each monomial and each trace is built once: 28 products at (4, 12, 100).
         kernel = qseries._kronecker_product

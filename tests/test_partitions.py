@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from mockeis import partitions
 from mockeis.errors import ConventionCaseError, WindowTooLargeError
 from mockeis.functions import rank_moment
 from mockeis.partitions import (
     PARTITION_CEILING,
+    Partitions,
     _one_free_tally,
     count_table,
     crank,
@@ -73,6 +75,50 @@ class TestEnumeration:
         assert all(p >= 1 for p in lam)
 
 
+class TestPartitionsView:
+    def test_reads_as_a_sequence_of_tuples(self):
+        parts = partitions_of(4)
+        assert isinstance(parts, Partitions)
+        assert len(parts) == 5
+        assert parts[1] == (3, 1) and parts[-1] == (1, 1, 1, 1)
+        assert parts[1:3] == ((3, 1), (2, 2)) and parts[::-2] == ((1, 1, 1, 1), (2, 2), (4,))
+        assert all(type(lam) is tuple for lam in parts)
+        assert list(parts) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        with pytest.raises(IndexError):
+            parts[5]
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 40])
+    def test_equals_the_tuple_of_tuples(self, n):
+        parts = partitions_of(n)
+        as_tuples = tuple(tuple(lam) for lam in parts.codes)
+        assert parts == as_tuples and as_tuples == parts
+        assert not parts != as_tuples
+        assert parts == Partitions(parts.codes)
+        assert parts != as_tuples[1:] and parts != list(as_tuples)
+
+    def test_codes_are_one_byte_per_part(self):
+        for n in (0, 1, 4, 17, PARTITION_CEILING):
+            codes = partitions_of(n).codes
+            assert type(codes) is tuple and all(type(mu) is bytes for mu in codes)
+        assert partitions_of(4).codes == (b"\x04", b"\x03\x01", b"\x02\x02", b"\x02\x01\x01", b"\x01" * 4)
+        assert partitions_of(0).codes == (b"",)
+        assert partitions_of(PARTITION_CEILING).codes[0] == bytes((PARTITION_CEILING,))
+
+    def test_is_read_only(self):
+        parts = partitions_of(4)
+        with pytest.raises(TypeError):
+            parts[0] = (1, 1, 1, 1)
+        with pytest.raises(TypeError):
+            del parts[0]
+        with pytest.raises(AttributeError):
+            parts.codes = ()
+        with pytest.raises(TypeError):
+            hash(parts)
+        with pytest.raises(TypeError):
+            parts + parts
+        assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+
+
 class TestDurfee:
     def test_worked_diagram(self):
         assert durfee_sizes((7, 4, 4, 3, 2, 1)) == (3, 2, 1)
@@ -103,6 +149,22 @@ class TestCrank:
     def test_partition_of_one_refused(self):
         with pytest.raises(ConventionCaseError):
             crank((1,))
+
+    def test_the_histogram_never_asks_the_crank_of_one(self, monkeypatch):
+        # The cache holds (1,) as b"\x01", which crank's refusal does not
+        # match, so the n <= 1 convention must answer before any crank runs.
+        def refused(parts):
+            raise AssertionError(f"crank({parts!r}) called")
+
+        monkeypatch.setattr(partitions, "crank", refused)
+        statistic_histogram.cache_clear()
+        try:
+            assert statistic_histogram(1, 0) == ((0, 1),)
+            assert statistic_histogram(1, 1) == ((-1, 1), (0, -1), (1, 1))
+            with pytest.raises(AssertionError, match="crank"):
+                statistic_histogram(1, 2)
+        finally:
+            statistic_histogram.cache_clear()
 
     @given(partition_st)
     def test_matches_the_two_pass_definition(self, lam):
