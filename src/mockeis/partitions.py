@@ -19,22 +19,22 @@ of ``partitions_of(n)`` for the crank and the rank.  For k >= 3 it is
 1-free partitions plus a closed form for the ones-tails: N_k(., n-1)
 shifted by one, plus what the partitions of n with no part 1 and, through
 their ones-tails, those of n-1 .. n-k+2 contribute, read from a cached
-tally: that of n-1 shifted by one, plus a walk of those led by (p, p).
-:func:`count_table` and the combinatorial moments in :mod:`mockeis.functions`
-only read those histograms; ``crank``, ``rank``, ``k_rank``,
-``durfee_sizes`` and ``conjugate`` are the definitional statistics they are
-tested against.
+tally: that of n-1 shifted by one, plus a walk of those led by (p, p),
+split from one slice of the blob that ``partitions_of(n)`` keeps for all
+its partitions (see :class:`Partitions`).  :func:`count_table` and the
+combinatorial moments in :mod:`mockeis.functions` only read those
+histograms; ``crank``, ``rank``, ``k_rank``, ``durfee_sizes`` and
+``conjugate`` are the definitional statistics they are tested against.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import lru_cache, wraps
-from itertools import chain, compress, islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 from typing import Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
@@ -50,13 +50,14 @@ assert PARTITION_CEILING <= 255  # so that every part fits in one byte of a code
 def _without_gc(func):
     """``func`` with the cyclic GC suspended while it runs.
 
-    The codes of ``partitions_of`` are ``bytes``, which the GC does not
-    track, but the tallies and histograms build tuples and dicts, none of
-    them in a cycle, that a young collection would traverse.  The caller's
-    GC state is restored however ``func`` ends, so nested calls leave it as
-    the outermost caller had it.  This is the library path: a caller that
-    keeps the GC on still pays one traversal of each new tuple after it.  The
-    CLI process runs with the GC off (see ``cli.entrypoint``), where this
+    The tallies and histograms build tuples and dicts, none of them in a
+    cycle, that a young collection would traverse.  ``partitions_of`` needs
+    no suspension: it makes a few objects per n, one blob among them, and a
+    cold build up to the ceiling runs no collection.  The caller's GC state
+    is restored however ``func`` ends, so nested calls leave it as the
+    outermost caller had it.  This is the library path: a caller that keeps
+    the GC on still pays one traversal of each new tuple after it.  The CLI
+    process runs with the GC off (see ``cli.entrypoint``), where this
     wrapper leaves it off and costs nothing.
     """
 
@@ -76,46 +77,45 @@ def _without_gc(func):
 class Partitions(Sequence):
     """The partitions of one n as a read-only sequence of tuples.
 
-    ``codes`` holds them as ``bytes``, one byte per part: 10.7 MiB up to the
-    ceiling against 27.8 MiB as tuples (``sys.getsizeof``), and no GC header.
-    The view equals the tuple of its tuples; it is not hashable, and has no ``+``.
+    ``blob`` holds them as one ``bytes``: a code of one byte per part for
+    each partition, joined by ``b"\\0"`` (no part is 0).  ``starts[q]`` is the
+    offset of the first code led by q, and ``starts[0]`` is one past the end.
+    Up to the ceiling the blobs take 2.6 MB (``sys.getsizeof``), against
+    10.7 MiB as one ``bytes`` per partition.  ``codes``, that tuple of
+    ``bytes``, is split afresh on every read, and indexing reads it: iterate,
+    or read ``codes`` once.  The view equals the tuple of its tuples; it is
+    not hashable, and has no ``+``.
     """
 
-    __slots__ = ("_codes",)
+    __slots__ = ("_blob", "_starts", "_len")
 
-    def __init__(self, codes: Tuple[bytes, ...]):
-        self._codes = codes
+    def __init__(self, blob: bytes, starts: Tuple[int, ...]):
+        self._blob, self._starts, self._len = blob, starts, blob.count(b"\0") + 1
 
-    codes = property(lambda self: self._codes)
+    blob = property(lambda self: self._blob)
+    starts = property(lambda self: self._starts)
+    codes = property(lambda self: tuple(self._blob.split(b"\0")))
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return self._len
 
     def __getitem__(self, index):
-        codes = self._codes[index]
+        codes = self.codes[index]
         return tuple(map(tuple, codes)) if isinstance(index, slice) else tuple(codes)
 
     def __iter__(self) -> Iterator[Partition]:
-        return map(tuple, self._codes)
+        return map(tuple, self._blob.split(b"\0"))
 
     def __eq__(self, other) -> bool:  # defining it leaves __hash__ None
         if isinstance(other, Partitions):
-            return self._codes == other._codes
+            return self._blob == other._blob
         return tuple(self) == other
 
     def __repr__(self) -> str:
         return f"Partitions({tuple(self)!r})"
 
 
-def _partitions_led_by(p: int, n: int) -> Iterator[bytes]:
-    """The codes of (p,) + mu over the partitions mu of n - p with first part <= p."""
-    rest = partitions_of(n - p).codes  # reverse-lex: those led by <= p are a suffix
-    start = bisect_left(rest, -p, key=lambda mu: -mu[0])
-    return map(add, repeat(bytes((p,))), islice(rest, start, None))
-
-
 @lru_cache(maxsize=None)
-@_without_gc
 def partitions_of(n: int) -> Partitions:
     """All partitions of n, reverse-lexicographically, each once: a cached read-only view."""
     if n < 0:
@@ -126,10 +126,25 @@ def partitions_of(n: int) -> Partitions:
             f"ceiling {PARTITION_CEILING}"
         )
     if n == 0:
-        return Partitions((b"",))
-    # (n,), then the blocks led by n-1 .. 1, with no intermediate list.
-    blocks = map(_partitions_led_by, range(n - 1, 0, -1), repeat(n))
-    return Partitions(tuple(chain((bytes((n,)),), chain.from_iterable(blocks))))
+        return Partitions(b"", (1,))
+    # (n,), then block p for p = n-1 .. 1: p before each code of n-p led by
+    # <= p, a tail of its blob, with p inserted after every separator.
+    blocks = [bytes((n,))]
+    for p in range(n - 1, 0, -1):
+        rest, lead = partitions_of(n - p), bytes((p,))
+        blocks.append(lead + rest.blob[rest.starts[min(p, n - p)] :].replace(b"\0", b"\0" + lead))
+    offsets = tuple(accumulate((len(block) + 1 for block in blocks), initial=0))
+    return Partitions(b"\0".join(blocks), offsets[::-1])
+
+
+def _run_led_by_pair(parts: Partitions, p: int) -> bytes:
+    """The codes of ``parts`` led by (p, p), still joined, for 2 <= p <= n/2.
+
+    They open block p, and the codes led by (p, p-1) follow them: those
+    exist, as n - p >= p - 1 >= 1.
+    """
+    blob, start = parts.blob, parts.starts[p]
+    return blob[start : blob.find(b"\0" + bytes((p, p - 1)), start, parts.starts[p - 1])]
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -226,7 +241,7 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     tuple per value.  Only mu[0] == mu[1] is walked; the rest is the tally
     of n-1, shifted.  The cache holds at most PARTITION_CEILING entries per k.
     """
-    parts = partitions_of(n).codes
+    parts = partitions_of(n)
     # Top-row lemma: a 1-free mu with mu[0] > mu[1] (0 if absent) and mu[0] >= 3
     # less one top-row cell is a 1-free partition of n-1 with the same squares
     # (row 0 counts toward d1 = #{i : mu[i] > i} either way) and both values
@@ -236,8 +251,7 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     counts = [{v + 1: c for v, c in zip(*entry)} for entry in shifted]
     runs = [((2,),)] if n == 2 else []
     for p in range(n // 2, 1, -1):
-        start = bisect_left(parts, -p, key=lambda mu: -mu[0])
-        run = parts[start : bisect_left(parts, 1 - p, start, key=lambda mu: -mu[1])]
+        run = _run_led_by_pair(parts, p).split(b"\0")
         runs.append(compress(run, map((1).__lt__, map(itemgetter(-1), run))))
     for mu in chain.from_iterable(runs):
         size = len(mu)

@@ -93,7 +93,7 @@ class TestPartitionsView:
         as_tuples = tuple(tuple(lam) for lam in parts.codes)
         assert parts == as_tuples and as_tuples == parts
         assert not parts != as_tuples
-        assert parts == Partitions(parts.codes)
+        assert parts == Partitions(parts.blob, parts.starts)
         assert parts != as_tuples[1:] and parts != list(as_tuples)
 
     def test_codes_are_one_byte_per_part(self):
@@ -118,6 +118,29 @@ class TestPartitionsView:
             parts + parts
         assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
+
+class TestPartitionsBlob:
+    def test_block_q_holds_the_codes_led_by_q(self):
+        for n in range(1, PARTITION_CEILING + 1):
+            parts = partitions_of(n)
+            for q in range(1, n + 1):
+                block = parts.blob[parts.starts[q] : parts.starts[q - 1] - 1]
+                assert block.split(b"\0") == [mu for mu in parts.codes if mu[0] == q]
+            assert parts.starts[n] == 0 and parts.starts[0] == len(parts.blob) + 1
+
+    def test_run_led_by_a_pair_is_the_codes_led_by_p_p(self):
+        for n in range(4, PARTITION_CEILING + 1):
+            parts = partitions_of(n)
+            for p in range(2, n // 2 + 1):
+                run = partitions._run_led_by_pair(parts, p).split(b"\0")
+                assert run == [mu for mu in parts.codes if len(mu) > 1 and mu[0] == mu[1] == p]
+
+    def test_separators_are_single_and_inside(self):
+        for n in range(1, PARTITION_CEILING + 1):
+            blob = partitions_of(n).blob
+            assert b"\0\0" not in blob
+            assert not blob.startswith(b"\0") and not blob.endswith(b"\0")
+            assert len(partitions_of(n)) == blob.count(b"\0") + 1
 
 class TestDurfee:
     def test_worked_diagram(self):
