@@ -17,14 +17,9 @@ import gc
 import os
 import sys
 
+from .bernoulli import bernoulli
 from .errors import ConfigError
-
-# The choices of the parser, spelled out so that building it imports no
-# computing module; the tests check them against the modules' own tuples.
-SUITE_CHOICES = ("all", "counts", "moments", "traces", "crank", "integrality", "pattern",
-                 "pde", "theta-ode")
-ROUTES = ("recursionA", "recursionB", "logRoute")
-RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
+from .flags import FLAGS, check
 
 
 def _emit(chunks, out: str | None) -> None:
@@ -46,53 +41,25 @@ def _emit(chunks, out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _check_k(args: argparse.Namespace) -> None:
-    if args.k < 2:
-        raise ConfigError("--k must be an integer >= 2")
-    if args.k == 2 and not args.allow_k2:
-        raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
-
-
-def _family_member(args: argparse.Namespace):
+def cmd_f(args: argparse.Namespace) -> int:
     from . import mock
     from .qseries import QSeries
 
-    if args.j < 1:
-        raise ConfigError("--j must be an integer >= 1")
-    if args.order < 1:
-        raise ConfigError("--order must be >= 1")
-    if args.j % 2:
-        return QSeries.zero(args.order)
-    family = mock.mock_eisenstein_family(
-        args.k, args.j, args.order, args.route, allow_k2=args.allow_k2
-    )
-    return family.member(args.j)
-
-
-def cmd_f(args: argparse.Namespace) -> int:
-    _check_k(args)
-    series = _family_member(args)
+    series = QSeries.zero(args.order) if args.j % 2 else mock.mock_eisenstein_family(
+        args.k, args.j, args.order, args.route, allow_k2=args.allow_k2).member(args.j)
     if args.fmt == "text":
         _emit([str(series) + "\n"], args.out)
     elif args.fmt == "json":
         import json
 
-        payload = {
-            "object": "qseries",
-            "k": args.k,
-            "j": args.j,
-            "order": args.order,
-            "coefficients": list(map(str, series.coeffs)),
-        }
+        payload = {"object": "qseries", "k": args.k, "j": args.j, "order": args.order,
+                   "coefficients": list(map(str, series.coeffs))}
         if args.k == 2:
             payload["extrapolated"] = True
         _emit([json.dumps(payload) + "\n"], args.out)
     else:
-        from .bernoulli import bernoulli
-        from .mock import first_fractional
-
         shifted = series + bernoulli(args.j) / (2 * args.j)
-        n = first_fractional(shifted)
+        n = mock.first_fractional(shifted)
         if n is not None:
             raise ConfigError(
                 "bfile export needs an integral series; "
@@ -101,18 +68,16 @@ def cmd_f(args: argparse.Namespace) -> int:
         lines = "".join(f"{n} {c}\n" for n, c in enumerate(shifted.nums))
         _emit([lines], args.out)
     if args.k == 2:
-        print(
-            "note: k = 2 output is extrapolated beyond the verified range k >= 3",
-            file=sys.stderr,
-        )
+        print("note: k = 2 output is extrapolated beyond the verified range k >= 3",
+              file=sys.stderr)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    flags = {"--k": None if args.k is None else (args.k,), "--maxj": args.max_j,
-             "--maxn": args.max_n, "--maxm": args.max_m, "--order": args.order}
+    flags = {option: getattr(args, flag.dest) for option, flag in FLAGS["verify"].items()}
+    del flags["--suite"]
     total = failed = 0
     # Each suite's lines are printed as it finishes, so an error in a later
     # suite (exit 2) does not discard the results already computed.
@@ -130,74 +95,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given ``argv``, only the subcommand and table kind
-    it names (the first tokens not starting with "-") get their flags: argparse
-    reads no other subparser's, so ``argv`` parses and fails as with all flags."""
+    """The command-line parser, its flags added from :data:`mockeis.flags.FLAGS`.  Given
+    ``argv``, only the subcommand and table kind it names (the first tokens not starting
+    with "-") get their flags: argparse reads no other subparser's, so ``argv`` parses
+    and fails as with all flags."""
     named = None if argv is None else [arg for arg in argv if not arg.startswith("-")]
 
-    def wanted(*path: str) -> bool:
-        return named is None or named[: len(path)] == list(path)
+    def wanted(scope: str) -> bool:
+        return named is None or named[: len(scope.split())] == scope.split()
 
-    parser = argparse.ArgumentParser(
-        prog="mockeis",
-        description="Exact q-series computations for k-rank moments and their "
-        "mock Eisenstein series.",
-    )
+    parser = argparse.ArgumentParser(prog="mockeis", description="Exact q-series computations "
+                                     "for k-rank moments and their mock Eisenstein series.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    f_parser = sub.add_parser("f", help="print one family member f_{k,j}")
-    if wanted("f"):
-        f_parser.set_defaults(handler=cmd_f)
-        f_parser.add_argument("--k", type=int, required=True)
-        f_parser.add_argument("--j", type=int, required=True)
-        f_parser.add_argument("--order", type=int, default=30)
-        f_parser.add_argument("--route", choices=ROUTES, default="recursionA")
-        f_parser.add_argument("--format", dest="fmt", choices=("text", "json", "bfile"),
-                              default="text")
-        f_parser.add_argument("--out", default=None)
-        f_parser.add_argument("--allow-k2", action="store_true")
-
+    parsers = {"f": (sub.add_parser("f", help="print one family member f_{k,j}"), cmd_f)}
     table = sub.add_parser("table", help="emit count/moment/trace tables")
+    parsers["verify"] = (sub.add_parser("verify", help="run a verification suite"), cmd_verify)
     if wanted("table"):
         from . import tables
 
         kinds = table.add_subparsers(dest="kind", required=True)
-        nk = kinds.add_parser("Nk", help="counts N_k(m, n)")
-        moments = kinds.add_parser("moments", help="k-rank moment R_{k,j}")
-        traces = kinds.add_parser("traces", help="partition traces Tr_j")
-        # Each table kind takes these and its own flags, and no other kind's.
-        for kind, kind_parser in (("Nk", nk), ("moments", moments), ("traces", traces)):
-            if wanted("table", kind):
-                kind_parser.add_argument("--k", type=int, required=True)
-                kind_parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                                         default="csv")
-                kind_parser.add_argument("--out", default=None)
-        if wanted("table", "Nk"):
-            nk.set_defaults(handler=tables.cmd_table_nk)
-            nk.add_argument("--maxm", dest="max_m", type=int, required=True)
-            nk.add_argument("--maxn", dest="max_n", type=int, required=True)
-            nk.add_argument("--allow-k2", action="store_true")
-        if wanted("table", "moments"):
-            moments.set_defaults(handler=tables.cmd_table_moments)
-            moments.add_argument("--j", type=int, required=True)
-            moments.add_argument("--order", type=int, default=30)
-            moments.add_argument("--method", choices=RANK_METHODS, default="direct")
-        if wanted("table", "traces"):
-            traces.set_defaults(handler=tables.cmd_table_traces)
-            traces.add_argument("--maxj", dest="max_j", type=int, required=True)
-            traces.add_argument("--order", type=int, default=30)
-            traces.add_argument("--route", choices=ROUTES, default="recursionA")
-            traces.add_argument("--allow-k2", action="store_true")
-
-    v_parser = sub.add_parser("verify", help="run a verification suite")
-    if wanted("verify"):
-        v_parser.set_defaults(handler=cmd_verify)
-        v_parser.add_argument("--suite", choices=SUITE_CHOICES, required=True)
-        v_parser.add_argument("--k", type=int, default=None)
-        v_parser.add_argument("--maxj", dest="max_j", type=int, default=None)
-        v_parser.add_argument("--maxn", dest="max_n", type=int, default=None)
-        v_parser.add_argument("--maxm", dest="max_m", type=int, default=None)
-        v_parser.add_argument("--order", type=int, default=None)
+        for kind, (help, handler) in tables.KINDS.items():
+            parsers[f"table {kind}"] = (kinds.add_parser(kind, help=help), handler)
+    for scope, (scope_parser, handler) in parsers.items():
+        if wanted(scope):
+            scope_parser.set_defaults(handler=handler, scope=scope)
+            for option, flag in FLAGS[scope].items():
+                scope_parser.add_argument(option, dest=flag.dest, **flag.kwargs)
     return parser
 
 
@@ -207,6 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "out", None) == "":
             raise ConfigError("--out needs a file name")
+        for option, flag in FLAGS[args.scope].items():
+            check(args.scope, option, getattr(args, flag.dest))
+        if "--allow-k2" in FLAGS[args.scope] and args.k == 2 and not args.allow_k2:
+            raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
         return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,9 @@ from . import partitions as pt
 # Defined in divisor, so that `f` need not compile this module; bound here too.
 from .divisor import divisor_like_sum, eisenstein
 from .errors import FractionalExponentError, WindowTooLargeError
+from .flags import RANK_METHODS
 from .qseries import QSeries, check_order, partition_series, q_pochhammer
 from .wjets import WJet, member_exp, rational_jet, two_sinh_half_over_w
-
-RANK_METHODS = ("direct", "divisor-sum", "combinatorial")
 
 
 def _theta_terms(a: int, b: int, order: int):
@@ -141,7 +140,7 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> QSeries:
         return _rank_moment_divisor_sum(k, j, order)
     if method == "combinatorial":
         return _combinatorial_moment(k, j, order)
-    raise ValueError(f"unknown rank moment method {method!r}")
+    raise ValueError(f"unknown rank moment method {method!r}; choose one of {RANK_METHODS}")
 
 
 def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:

@@ -33,11 +33,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .divisor import divisor_like_sum
 from .errors import MissingMemberError, WindowTooLargeError
+from .flags import ROUTES
 from .partitions import PARTITION_CEILING, partitions_of
 from .qseries import QSeries, order_cache
 from .wjets import build_jet, jet_log
-
-ROUTES = ("recursionA", "recursionB", "logRoute")
 
 Members = Callable[[int], QSeries]
 

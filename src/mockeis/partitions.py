@@ -38,13 +38,17 @@ from operator import itemgetter
 from typing import Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
+from .flags import PARTITION_CEILING
 
 Partition = Tuple[int, ...]
 
-#: Brute-force enumeration ceiling: p(40) = 37338 partitions, and 215,307
-#: over 1 <= n <= 40.  ``partitions_of`` refuses any n above it.
-PARTITION_CEILING = 40
 assert PARTITION_CEILING <= 255  # so that every part fits in one byte of a code
+
+
+def _refuse_above_the_ceiling(name: str, n: int) -> None:
+    if n > PARTITION_CEILING:
+        raise WindowTooLargeError(
+            f"{name} = {n} exceeds the enumeration ceiling {PARTITION_CEILING}")
 
 
 def _without_gc(func):
@@ -82,9 +86,10 @@ class Partitions(Sequence):
     offset of the first code led by q, and ``starts[0]`` is one past the end.
     Up to the ceiling the blobs take 2.6 MB (``sys.getsizeof``), against
     10.7 MiB as one ``bytes`` per partition.  ``codes``, that tuple of
-    ``bytes``, is split afresh on every read, and indexing reads it: iterate,
-    or read ``codes`` once.  The view equals the tuple of its tuples; it is
-    not hashable, and has no ``+``.
+    ``bytes``, is split afresh on every read, and indexing reads it, so
+    indexing in a loop is quadratic: iterate, or read ``codes`` once.  Every
+    other read, ``reversed`` and ``index`` included, splits it once.  The view
+    equals the tuple of its tuples; it is not hashable, and has no ``+``.
     """
 
     __slots__ = ("_blob", "_starts", "_len")
@@ -106,6 +111,12 @@ class Partitions(Sequence):
     def __iter__(self) -> Iterator[Partition]:
         return map(tuple, self._blob.split(b"\0"))
 
+    def __reversed__(self) -> Iterator[Partition]:
+        return map(tuple, reversed(self.codes))
+
+    def index(self, value, start: int = 0, stop: int | None = None) -> int:
+        return tuple(self).index(value, start, self._len if stop is None else stop)
+
     def __eq__(self, other) -> bool:  # defining it leaves __hash__ None
         if isinstance(other, Partitions):
             return self._blob == other._blob
@@ -120,11 +131,7 @@ def partitions_of(n: int) -> Partitions:
     """All partitions of n, reverse-lexicographically, each once: a cached read-only view."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n > PARTITION_CEILING:
-        raise WindowTooLargeError(
-            f"cannot enumerate the partitions of n = {n}: above the enumeration "
-            f"ceiling {PARTITION_CEILING}"
-        )
+    _refuse_above_the_ceiling("n", n)
     if n == 0:
         return Partitions(b"", (1,))
     # (n,), then block p for p = n-1 .. 1: p before each code of n-p led by
@@ -296,10 +303,7 @@ def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
         raise ValueError("statistic index k must be >= 1")
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n > PARTITION_CEILING:
-        raise WindowTooLargeError(
-            f"n = {n} exceeds the enumeration ceiling {PARTITION_CEILING}"
-        )
+    _refuse_above_the_ceiling("n", n)
     if k == 1 and n <= 1:
         counts = {0: 1} if n == 0 else {-1: 1, 0: -1, 1: 1}
     elif n == 0:
@@ -353,10 +357,7 @@ def count_table(k: int, max_abs_m: int, max_n: int) -> CountTable:
     """Brute-force table of N_k(m, n): a window on :func:`statistic_histogram`."""
     if max_abs_m < 0 or max_n < 0:
         raise ValueError("window bounds must be non-negative")
-    if max_n > PARTITION_CEILING:
-        raise WindowTooLargeError(
-            f"max_n = {max_n} exceeds the enumeration ceiling {PARTITION_CEILING}"
-        )
+    _refuse_above_the_ceiling("max_n", max_n)
     entries = {
         (m, n): count
         for n in range(max_n + 1)

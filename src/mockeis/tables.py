@@ -1,24 +1,13 @@
 """The handlers of ``mockeis table``: count, moment and trace tables.  Only
-:func:`mockeis.cli.build_parser` for a ``table`` command imports them."""
+:func:`mockeis.cli.build_parser` for a ``table`` command imports them, and
+:func:`mockeis.cli.main` has checked every flag before a handler runs."""
 
 from __future__ import annotations
 
 import argparse
 
-from .cli import _check_k, _emit
-from .errors import ConfigError, WindowTooLargeError
-from .partitions import PARTITION_CEILING, count_table
-
-
-def _check_range(kind: str, flag: str, value: int, least: int, enumerated: bool = False) -> None:
-    """Refuse, before any work, a value below ``least`` or one above the
-    enumeration ceiling, within which enumeration can check the table."""
-    if value < least:
-        raise ConfigError(f"table {kind} needs {flag} >= {least}")
-    if enumerated and value > PARTITION_CEILING:
-        raise WindowTooLargeError(
-            f"{flag} {value} exceeds the enumeration ceiling {PARTITION_CEILING}"
-        )
+from .cli import _emit
+from .partitions import count_table
 
 
 def cmd_table_nk(args: argparse.Namespace) -> int:
@@ -28,9 +17,6 @@ def cmd_table_nk(args: argparse.Namespace) -> int:
     and a tail: the csv lines, or ``json.dumps`` of the payload whose
     ``entries`` are the [m, n, count] lists.
     """
-    _check_k(args)
-    _check_range("Nk", "--maxm", args.max_m, 0)
-    _check_range("Nk", "--maxn", args.max_n, 0, enumerated=True)
     table = count_table(args.k, args.max_m, args.max_n)
     if args.fmt == "csv":
         head, cell, sep, tail = "m,n,count\n", "{},{},{}", "\n", "\n"
@@ -74,9 +60,6 @@ def _write_table(args: argparse.Namespace, head: str, rows, payload: dict) -> in
 def cmd_table_moments(args: argparse.Namespace) -> int:
     from . import functions as fn
 
-    _check_range("moments", "--k", args.k, 3)
-    _check_range("moments", "--j", args.j, 0)
-    _check_range("moments", "--order", args.order, 1)
     coefficients = list(map(str, fn.rank_moment(args.k, args.j, args.order, args.method).coeffs))
     payload = {"object": "moment_series", "k": args.k, "j": args.j, "order": args.order,
                "method": args.method, "coefficients": coefficients}
@@ -87,9 +70,6 @@ def cmd_table_traces(args: argparse.Namespace) -> int:
     from . import mock
     from .wjets import member_exp
 
-    _check_k(args)
-    _check_range("traces", "--maxj", args.max_j, 0, enumerated=True)
-    _check_range("traces", "--order", args.order, 1)
     family = mock.mock_eisenstein_family(
         args.k, max(2, args.max_j + args.max_j % 2), args.order, args.route, allow_k2=args.allow_k2
     )
@@ -100,3 +80,9 @@ def cmd_table_traces(args: argparse.Namespace) -> int:
                "order": args.order, "traces": traces}
     rows = ((j, n, c) for j, coefficients in traces.items() for n, c in enumerate(coefficients))
     return _write_table(args, "j,n,coefficient", rows, payload)
+
+
+#: Each kind's help line and handler, for :func:`mockeis.cli.build_parser`.
+KINDS = {"Nk": ("counts N_k(m, n)", cmd_table_nk),
+         "moments": ("k-rank moment R_{k,j}", cmd_table_moments),
+         "traces": ("partition traces Tr_j", cmd_table_traces)}

@@ -21,6 +21,7 @@ from . import pde
 from .bernoulli import bernoulli
 from .divisor import eisenstein
 from .errors import ConfigError, MissingMemberError
+from .flags import FLAGS, check
 from .qseries import QSeries, partition_series
 from .wjets import WJet, build_jet, rational_jet, two_sinh_half_over_w
 
@@ -324,59 +325,31 @@ SUITES: Dict[str, Callable[..., List[CheckResult]]] = {
 }
 
 
-# CLI flag -> the suite parameter it sets and the values it accepts: at
-# least ``least``, even if ``even``, and at most ``ceiling`` where the suite
-# enumerates partitions that large.  A suite named on its own rejects a flag
-# it does not list; under "all" each suite takes only the flags it lists.
-# The family suites need --k >= 3: verify has no flag for the k = 2 extrapolation.
-Flag = namedtuple("Flag", "param least even ceiling", defaults=(False, None))
-_K3, _ORDER, _FAMILY_J = Flag("ks", 3), Flag("order", 1), Flag("max_j", 2, True)
-_TRACE_J = Flag("max_j", 0, True, pt.PARTITION_CEILING)
-SUITE_FLAGS: Dict[str, Dict[str, Flag]] = {
-    "counts": {"--k": Flag("ks", 2), "--maxn": Flag("max_n", 0, False, pt.PARTITION_CEILING),
-               "--maxm": Flag("max_m", 0)},
-    "moments": {"--k": _K3, "--maxj": Flag("max_j", 0), "--order": _ORDER},
-    "traces": {"--k": _K3, "--maxj": _TRACE_J, "--order": _ORDER},
-    "crank": {"--maxj": _TRACE_J, "--order": Flag("order", 1, False, pt.PARTITION_CEILING)},
-    "integrality": {"--k": _K3, "--maxj": _FAMILY_J, "--order": _ORDER},
-    "pattern": {"--k": _K3, "--maxj": _FAMILY_J},
-    "pde": {"--order": Flag("q_order", 1)},
-    "theta-ode": {"--order": Flag("q_order", 1)},
-}
-
-
-def _check_flag(suite: str, flag: str, rule: Flag, value) -> None:
-    """Raise ``ConfigError`` unless ``rule`` accepts ``value`` (each value of a tuple)."""
-    for v in value if isinstance(value, tuple) else (value,):
-        if v < rule.least or rule.even and v % 2:
-            even = "an even " if rule.even else ""
-            raise ConfigError(f"suite {suite!r} needs {even}{flag} >= {rule.least}")
-        if rule.ceiling is not None and v > rule.ceiling:
-            raise ConfigError(f"suite {suite!r}: {flag} {v} exceeds the enumeration "
-                              f"ceiling {rule.ceiling}")
-
-
 def iter_suites(
     name: str, flags: Optional[Dict[str, object]] = None
 ) -> Iterator[List[CheckResult]]:
     """Run one named suite (or 'all'), yielding each suite's results as it finishes.
 
     ``flags`` are size overrides keyed by CLI flag; flags whose value is
-    None are not given.  A value is passed as the suite parameter that
-    :data:`SUITE_FLAGS` maps the flag to, once every flag of every suite to
-    run has passed its check there.  Under 'all', an error inside one suite
+    None are not given.  A suite named on its own refuses a flag it does not
+    take; under 'all' each suite takes only its own.  A value is passed as
+    the suite parameter that the suite's row of :data:`mockeis.flags.FLAGS`
+    names (``--k K`` as ``ks=(K,)``), once every flag of every suite to run
+    has passed its check there.  Under 'all', an error inside one suite
     stops the run after the results of the suites before it.
     """
     given = {flag: v for flag, v in (flags or {}).items() if v is not None}
     calls = []
     for key in list(SUITES) if name == "all" else [name]:
-        rules = SUITE_FLAGS[key]
+        scope = f"suite {key!r}"
+        rules = FLAGS[scope]
         unknown = [flag for flag in given if flag not in rules]
         if unknown and name != "all":
-            raise ConfigError(f"suite {name!r} does not take {', '.join(unknown)}")
+            raise ConfigError(f"{scope} does not take {', '.join(unknown)}")
         taken = {flag: v for flag, v in given.items() if flag in rules}
         for flag, v in taken.items():
-            _check_flag(key, flag, rules[flag], v)
-        calls.append((key, {rules[flag].param: v for flag, v in taken.items()}))
+            check(scope, flag, v)
+        calls.append((key, {rules[flag].dest: (v,) if rules[flag].dest == "ks" else v
+                            for flag, v in taken.items()}))
     for key, kwargs in calls:
         yield SUITES[key](**kwargs)

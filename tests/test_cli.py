@@ -5,7 +5,6 @@ import hashlib
 import inspect
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,8 +16,9 @@ import pytest
 import mockeis
 import mockeis.divisor
 import mockeis.functions
+import mockeis.partitions
 import mockeis.tables
-from mockeis import cli, mock, verify
+from mockeis import cli, flags, mock, verify
 from mockeis.cli import main
 from mockeis.errors import ConfigError
 from mockeis.partitions import count_table
@@ -124,6 +124,17 @@ class TestFCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--k", "1", "f needs --k >= 2"),
+        ("--j", "0", "f needs --j >= 1"),
+        ("--order", "0", "f needs --order >= 1"),
+    ])
+    def test_a_value_out_of_range_builds_no_family(self, capsys, monkeypatch, option, value,
+                                                   message):
+        monkeypatch.setattr(mock, "mock_eisenstein_family", lambda *a, **kw: pytest.fail("ran"))
+        argv = ["f", "--k", "3", "--j", "2", "--order", "4", option, value]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_recursion_b_above_the_ceiling_fails_before_any_work(self, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("the family was built before the ceiling check")
@@ -159,6 +170,45 @@ FOREIGN_FLAGS = [
     (kind, flag) for kind, flags in TABLE_FLAGS.items() for flag in TABLE_VALUES
     if flag not in flags
 ]
+
+
+# Valid required flags of each command scope, and each bounded flag of every
+# scope with a value just below its least value and the first one above its
+# ceiling that it would accept but for the ceiling.
+REQUIRED = {"f": ("--k", "3", "--j", "2"),
+            **{f"table {kind}": argv for kind, argv in TABLE_REQUIRED.items()}}
+REFUSED = [
+    (scope, option, value)
+    for scope, table in flags.FLAGS.items()
+    for option, flag in table.items()
+    if flag.least is not None
+    for value in [flag.least - 1, *([] if flag.ceiling is None else [flag.ceiling + 1 + flag.even])]
+]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("scope, option, value", REFUSED)
+    def test_a_value_out_of_range_exits_2_before_any_work(self, capsys, monkeypatch, scope,
+                                                           option, value):
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, lambda **kwargs: pytest.fail("suite ran"))
+        for module, handler in [(cli, "cmd_f"), *((mockeis.tables, f"cmd_table_{kind}")
+                                                  for kind in ("nk", "moments", "traces"))]:
+            monkeypatch.setattr(module, handler, lambda args: pytest.fail("handler ran"))
+        if scope.startswith("suite "):
+            argv = ["verify", "--suite", scope.split("'")[1]]
+        else:
+            argv = [*scope.split(), *REQUIRED[scope]]
+        flag = flags.FLAGS[scope][option]
+        if value < flag.least:
+            message = f"{scope} needs {'an even ' if flag.even else ''}{option} >= {flag.least}"
+        else:
+            message = f"{scope}: {option} {value} exceeds the enumeration ceiling {flag.ceiling}"
+        code, out, err = run_cli(capsys, *argv, option, str(value))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_the_ceiling_is_the_one_partitions_enforces(self):
+        assert flags.PARTITION_CEILING is mockeis.partitions.PARTITION_CEILING
 
 
 class TestTableCommand:
@@ -223,7 +273,7 @@ class TestTableCommand:
     @pytest.mark.parametrize("max_m, max_n, message", [
         ("-1", "3", "table Nk needs --maxm >= 0"),
         ("2", "-1", "table Nk needs --maxn >= 0"),
-        ("2", "41", "--maxn 41 exceeds the enumeration ceiling 40"),
+        ("2", "41", "table Nk: --maxn 41 exceeds the enumeration ceiling 40"),
     ])
     def test_nk_names_the_flag_out_of_range(self, capsys, monkeypatch, max_m, max_n, message):
         monkeypatch.setattr(mockeis.tables, "count_table", lambda *a: pytest.fail("ran"))
@@ -389,7 +439,27 @@ def flags_by_parser(parser, path=()):
     return found
 
 
+# The sha256 of each parser's --help at 80 columns (Python 3.11's argparse).
+HELP_SHA256 = {
+    "": "4d73186d179f48fe24dbe5254650edc216586a2fa8d4141e96f8f196abf09134",
+    "f": "d07320aa5cc8fc5861d1eb51664ef2357f20ef68dba38e9c7d0ab38f0cbbab2e",
+    "table": "ac7071dc01e29d7f87787ddd1d43cc4af992ff0e6000695be2c201dcc4969a31",
+    "table Nk": "246b277e67c53f7ea4c676072944447eac6241e3cfb9e5a3f85205dc3c493d6b",
+    "table moments": "76f2eb436e5caeefdffd5bfcf671c6cc7fd18987f446d1f0beb354a6dfca16ce",
+    "table traces": "dad5806ca79c959289138c90734f93413310cadaa5ec077bf8c539a81c240d7b",
+    "verify": "433ece663513fd4cddd5dd071648a35ed30ffdcf248373ff71e4c8ff5044a005",
+}
+
+
 class TestParserForArgv:
+    @pytest.mark.parametrize("command", HELP_SHA256)
+    def test_the_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [*command.split(), "--help"]
+        code, out, err = parse_outcome(capsys, cli.build_parser(argv), argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
     @pytest.mark.parametrize("argv", [
         argv.split()
         for command, required, foreign, invalid in PARSER_SHAPES
@@ -428,16 +498,24 @@ class TestReadme:
         assert out
 
     def test_the_suite_table_is_suite_flags(self):
-        def accepts(rule):
-            even = "even " if rule.even else ""
-            if rule.ceiling is None:
-                return f"{even}>= {rule.least}"
-            return f"{even}{rule.least}..{rule.ceiling}"
+        def accepts(option, flag):
+            words = [f"`{option}`"]
+            if flag.least is not None:
+                bound = f"{flag.least}..{flag.ceiling}" if flag.ceiling else f">= {flag.least}"
+                words.append(f"even {bound}" if flag.even else bound)
+            if "choices" in flag.kwargs:
+                words.append("/".join(f"`{choice}`" for choice in flag.kwargs["choices"]))
+            if flag.kwargs.get("required"):
+                words.append("(required)")
+            elif flag.kwargs.get("default") is not None:
+                words.append(f"(default `{flag.kwargs['default']}`)")
+            return " ".join(words)
 
-        rows = re.findall(r"^\| `([\w-]+)` \| (.*) \|$", README.read_text("utf-8"), re.M)
+        head = "| scope | flags and the values they accept |\n|---|---|\n"
+        rows = README.read_text("utf-8").split(head, 1)[1].split("\n\n", 1)[0].splitlines()
         assert rows == [
-            (name, ", ".join(f"`{flag}` {accepts(rule)}" for flag, rule in flags.items()))
-            for name, flags in verify.SUITE_FLAGS.items()
+            f"| `{scope}` | {', '.join(accepts(*row) for row in table.items())} |"
+            for scope, table in flags.FLAGS.items()
         ]
 
     def test_the_documented_output_is_printed(self, capsys):
@@ -623,7 +701,7 @@ class TestVerifyCommand:
 
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, recorder(name))
-        list(verify.iter_suites("all", {"--k": (4,), "--maxj": None, "--order": 10}))
+        list(verify.iter_suites("all", {"--k": 4, "--maxj": None, "--order": 10}))
         k, order, q_order = {"ks": (4,)}, {"order": 10}, {"q_order": 10}
         assert seen == {
             "counts": k,
@@ -637,10 +715,11 @@ class TestVerifyCommand:
         }
 
     def test_flag_table_names_real_suite_parameters(self):
-        assert set(verify.SUITE_FLAGS) == set(verify.SUITES)
-        for name, table in verify.SUITE_FLAGS.items():
+        scopes = [scope for scope in flags.FLAGS if scope.startswith("suite ")]
+        assert scopes == [f"suite {name!r}" for name in verify.SUITES]
+        for name in verify.SUITES:
             params = inspect.signature(verify.SUITES[name]).parameters
-            assert {rule.param for rule in table.values()} <= set(params)
+            assert {flag.dest for flag in flags.FLAGS[f"suite {name!r}"].values()} <= set(params)
 
     def test_residual_details_name_the_first_nonzero_coefficient(self):
         a, b = QSeries([1, 2, 3, 4]), QSeries([1, 2, 5, 6, 7])
@@ -668,8 +747,11 @@ def run_python(script):
     )
 
 
-def loaded_by(*argv):
-    """The modules that ``python -m mockeis argv`` loads beyond interpreter start-up."""
+def loaded_by(*argv, code=0):
+    """The modules that ``python -m mockeis argv`` loads beyond interpreter start-up.
+
+    ``code`` is the exit code of a command that exits by ``SystemExit``: 0, or
+    argparse's 2 for a usage error."""
     script = (
         "import runpy, sys\n"
         "before = set(sys.modules)\n"
@@ -677,7 +759,7 @@ def loaded_by(*argv):
         "try:\n"
         "    runpy.run_module('mockeis', run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exit:\n"
-        "    assert not exit.code\n"
+        f"    assert (exit.code or 0) == {code}\n"
         "print(' '.join(set(sys.modules) - before), file=sys.stderr)\n"
     )
     return set(run_python(script).stderr.split())
@@ -689,7 +771,7 @@ class TestImportScope:
         assert "mockeis.mock" in loaded
         assert not {"mockeis.verify", "mockeis.pde", "dataclasses", "json"} & loaded
 
-    @pytest.mark.parametrize("option", [*(("--route", route) for route in cli.ROUTES),
+    @pytest.mark.parametrize("option", [*(("--route", route) for route in flags.ROUTES),
                                         ("--format", "bfile")])
     def test_f_loads_neither_functions_nor_tables(self, option):
         loaded = loaded_by("f", "--k", "3", "--j", "4", "--order", "6", *option)
@@ -722,10 +804,19 @@ class TestImportScope:
         assert "mockeis.bernoulli" in loaded
         assert not {"fractions", "decimal"} & loaded
 
+    @pytest.mark.parametrize("argv, code", [
+        ("f --help", 0), ("verify --help", 0), ("verify --suite bogus", 2),
+        ("f --k 3 --j 2 --route bogus", 2),
+    ])
+    def test_parsing_loads_no_computing_module(self, argv, code):
+        loaded = {name for name in loaded_by(*argv.split(), code=code) if "mockeis" in name}
+        assert loaded == {"mockeis", "mockeis.bernoulli", "mockeis.cli", "mockeis.errors",
+                          "mockeis.flags"}
+
     def test_parser_choices_match_the_modules(self):
-        assert cli.SUITE_CHOICES == ("all",) + tuple(verify.SUITES)
-        assert cli.ROUTES == mock.ROUTES
-        assert cli.RANK_METHODS == mockeis.functions.RANK_METHODS
+        assert flags.SUITES == tuple(verify.SUITES)
+        assert mock.ROUTES is flags.ROUTES
+        assert mockeis.functions.RANK_METHODS is flags.RANK_METHODS
 
 
 class TestLazyPackage:
@@ -898,7 +989,7 @@ def cyclic_garbage(run):
 # sizes, and exit-2 paths: the shapes a CLI process runs with the GC off.
 COMMAND_SHAPES = [
     *((f"f --k 3 --j 4 --order 10 --route {route} --format {fmt}", 0)
-      for route in cli.ROUTES for fmt in ("text", "json", "bfile")),
+      for route in flags.ROUTES for fmt in ("text", "json", "bfile")),
     ("table Nk --k 3 --maxm 2 --maxn 12 --format csv", 0),
     ("table Nk --k 5 --maxm 2 --maxn 12 --format json", 0),
     ("table moments --k 3 --j 4 --order 12 --method combinatorial", 0),

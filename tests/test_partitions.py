@@ -96,6 +96,33 @@ class TestPartitionsView:
         assert parts == Partitions(parts.blob, parts.starts)
         assert parts != as_tuples[1:] and parts != list(as_tuples)
 
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_reversed_index_and_count_split_the_blob_once(self, n):
+        class CountingBlob(bytes):
+            splits = 0
+
+            def split(self, *args):
+                CountingBlob.splits += 1
+                return super().split(*args)
+
+        parts = partitions_of(n)
+        view = Partitions(CountingBlob(parts.blob), parts.starts)
+        as_tuples = tuple(parts)
+        for read, want in [
+            (lambda: list(reversed(view)), list(reversed(as_tuples))),
+            (lambda: view.index(as_tuples[-1]), len(as_tuples) - 1),
+            (lambda: view.index(as_tuples[0], 0, -1), 0),
+            (lambda: view.count(as_tuples[-1]), 1),
+            (lambda: view.count((n + 1,)), 0),
+            (lambda: as_tuples[-1] in view, True),
+        ]:
+            CountingBlob.splits = 0
+            assert (read(), CountingBlob.splits) == (want, 1)
+        with pytest.raises(ValueError):
+            view.index((n + 1,))
+        with pytest.raises(ValueError):
+            view.index(as_tuples[-1], 0, -1)
+
     def test_codes_are_one_byte_per_part(self):
         for n in (0, 1, 4, 17, PARTITION_CEILING):
             codes = partitions_of(n).codes
