@@ -15,15 +15,15 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("divisor", "divisor_like_sum eisenstein"),
-        ("functions", "crank_moment crank_moments krank_count_series "
+        ("functions", "crank_moment crank_moments eisenstein_members krank_count_series "
          "multisum_count_table rank_moment theta_deriv theta_series"),
         ("mock", "MockFamily mock_eisenstein_family partition_trace phi_weight psi_weight"),
         ("partitions", "PARTITION_CEILING CountTable count_table crank durfee_sizes "
          "k_rank partitions_of rank"),
         ("pde", "appell5_jet heat_operator pde_residual theta_ode_residual"),
         ("qseries", "QSeries euler_product partition_series q_pochhammer"),
-        ("verify", "crank_trace_residuals eisenstein_members integrality_check "
-         "leading_pattern_check trace_identity_residuals"),
+        ("verify", "crank_trace_residuals integrality_check leading_pattern_check "
+         "trace_identity_residuals"),
         ("wjets", "WJet build_jet jet_exp jet_log"),
     )
     for name in names.split()

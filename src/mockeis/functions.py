@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, isqrt
-from typing import List
+from typing import Callable, List
 
 from . import partitions as pt
 # Defined in divisor, so that `f` need not compile this module; bound here too.
 from .divisor import divisor_like_sum, eisenstein
-from .errors import FractionalExponentError, WindowTooLargeError
+from .errors import FractionalExponentError, MissingMemberError, WindowTooLargeError
 from .flags import RANK_METHODS
 from .qseries import QSeries, check_order, partition_series, q_pochhammer
 from .wjets import WJet, member_exp, rational_jet, two_sinh_half_over_w
@@ -143,9 +143,20 @@ def rank_moment(k: int, j: int, order: int, method: str = "direct") -> QSeries:
     raise ValueError(f"unknown rank moment method {method!r}; choose one of {RANK_METHODS}")
 
 
+def eisenstein_members(order: int) -> Callable[[int], QSeries]:
+    """Member accessor for the Eisenstein family (odd weights are zero)."""
+
+    def member(j: int) -> QSeries:
+        if j < 1:
+            raise MissingMemberError("Eisenstein members start at weight 1")
+        return eisenstein(j, order)
+
+    return member
+
+
 def eisenstein_exponential(scale: int, max_deg: int, q_order: int) -> WJet:
     """exp(scale * sum_{k>=2} G_k w^k/k!) on [0, max_deg]."""
-    return member_exp(lambda k: eisenstein(k, q_order), scale, max_deg, q_order)
+    return member_exp(eisenstein_members(q_order), scale, max_deg, q_order)
 
 
 def crank_moments(max_j: int, order: int) -> List[QSeries]:

@@ -19,9 +19,9 @@ from . import mock
 from . import partitions as pt
 from . import pde
 from .bernoulli import bernoulli
-from .divisor import eisenstein
-from .errors import ConfigError, MissingMemberError
+from .errors import ConfigError
 from .flags import FLAGS, check
+from .functions import eisenstein_members
 from .qseries import QSeries, partition_series
 from .wjets import WJet, build_jet, rational_jet, two_sinh_half_over_w
 
@@ -85,17 +85,6 @@ def _count_check(
 
 
 # -- identity checks ------------------------------------------------------
-
-
-def eisenstein_members(order: int) -> mock.Members:
-    """Member accessor for the Eisenstein family (odd weights are zero)."""
-
-    def member(j: int) -> QSeries:
-        if j < 1:
-            raise MissingMemberError("Eisenstein members start at weight 1")
-        return eisenstein(j, order)
-
-    return member
 
 
 def _trace_residuals(moments: List[QSeries], members: mock.Members, order: int) -> List[QSeries]:

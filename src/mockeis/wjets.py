@@ -17,10 +17,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
 from .errors import ConstantTermError, WindowUnderflowError
 from .qseries import QSeries
+
+
+def _convolve(terms: Iterable[Tuple[QSeries, QSeries, int]], order: int) -> QSeries:
+    """The sum of x * y * k over the (x, y, k) triples, skipping a zero x or y."""
+    products = (x * y * k for x, y, k in terms if not (x.is_zero() or y.is_zero()))
+    return sum(products, QSeries.zero(order))
 
 
 class WJet:
@@ -76,18 +82,12 @@ class WJet:
         hi = min(self.max_deg + other.min_deg, other.max_deg + self.min_deg)
         if hi < lo:
             raise WindowUnderflowError("product has an empty certified window")
+        a, b = self.coeffs, other.coeffs
         order = min(self.q_order, other.q_order)
         out = []
-        for d in range(lo, hi + 1):
-            acc = QSeries.zero(order)
-            i_lo = max(self.min_deg, d - other.max_deg)
-            i_hi = min(self.max_deg, d - other.min_deg)
-            for i in range(i_lo, i_hi + 1):
-                a = self.coeffs[i - self.min_deg]
-                if a.is_zero():
-                    continue
-                acc = acc + a * other.coeffs[d - i - other.min_deg]
-            out.append(acc)
+        for d in range(hi - lo + 1):  # a[i] * b[d - i] lands at degree lo + d
+            pairs = range(max(0, d - len(b) + 1), d + 1)
+            out.append(_convolve(((a[i], b[d - i], 1) for i in pairs), order))
         return WJet(lo, out)
 
     def scale(self, factor) -> "WJet":
@@ -127,10 +127,9 @@ def build_jet(entries: Dict[int, QSeries], min_deg: int, max_deg: int, q_order: 
     return WJet(min_deg, out)
 
 
-def rational_jet(wseries: QSeries, q_order: int, shift: int = 0) -> WJet:
-    """Lift a rational series in w (a QSeries reused formally) to a jet."""
-    coeffs = [QSeries.constant(c, q_order) for c in wseries.coeffs]
-    return WJet(shift, coeffs)
+def rational_jet(wseries: QSeries, q_order: int) -> WJet:
+    """Lift a rational series in w (a QSeries reused formally) to a jet on [0, wseries.order]."""
+    return WJet(0, [QSeries.constant(c, q_order) for c in wseries.coeffs])
 
 
 def exp_cw(c, max_deg: int, q_order: int) -> WJet:
@@ -158,7 +157,7 @@ def reciprocal_two_sinh_half(max_deg: int, q_order: int) -> WJet:
     and shifting; equals sum_n B_n(1/2) w^{n-1}/n!.
     """
     inv = two_sinh_half_over_w(max_deg + 1).inverse()
-    return rational_jet(inv, q_order, shift=-1)
+    return rational_jet(inv, q_order).shift(-1)
 
 
 def jet_exp(a: WJet) -> WJet:
@@ -167,23 +166,13 @@ def jet_exp(a: WJet) -> WJet:
     Standard recurrence n b_n = sum_k k a_k b_{n-k} with q-series
     coefficients; the result is certified on [0, a.max_deg].
     """
-    if a.min_deg < 1:
-        if not a.coeff(0).is_zero() or a.min_deg < 0:
-            raise ConstantTermError("jet exp requires vanishing below degree 1")
+    if a.min_deg < 0 or not a.coeff(0).is_zero():
+        raise ConstantTermError("jet exp requires vanishing below degree 1")
     order = a.q_order
     b = [QSeries.one(order)]
-    live = [True]  # live[n]: b[n] is not the zero series
     for n in range(1, a.max_deg + 1):
-        acc = QSeries.zero(order)
-        for k in range(1, n + 1):
-            if not live[n - k]:
-                continue
-            ak = a.coeff(k)
-            if ak.is_zero():
-                continue
-            acc = acc + (ak * b[n - k]) * k
-        b.append(acc / n)
-        live.append(not b[n].is_zero())
+        terms = ((a.coeff(k), b[n - k], k) for k in range(1, n + 1))
+        b.append(_convolve(terms, order) / n)
     return WJet(0, b)
 
 
@@ -207,14 +196,6 @@ def jet_log(a: WJet) -> WJet:
         raise ConstantTermError("jet log requires constant coefficient 1")
     l = [QSeries.zero(order)]
     for n in range(1, a.max_deg + 1):
-        acc = QSeries.zero(order)
-        for k in range(1, n):
-            lk = l[k]
-            if lk.is_zero():
-                continue
-            ank = a.coeff(n - k)
-            if ank.is_zero():
-                continue
-            acc = acc + (lk * ank) * k
-        l.append(a.coeff(n) - acc / n)
+        terms = ((l[k], a.coeff(n - k), k) for k in range(1, n))
+        l.append(a.coeff(n) - _convolve(terms, order) / n)
     return WJet(0, l)

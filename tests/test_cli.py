@@ -788,9 +788,13 @@ class TestImportScope:
         # So a hook on functions.divisor_like_sum, which wraps every binding
         # of the object, also spans the family's calls through mock.
         users = {"divisor_like_sum": (mock, mockeis.functions),
-                 "eisenstein": (mockeis.functions, mockeis.pde, verify)}
+                 "eisenstein": (mockeis.functions, mockeis.pde)}
+        target = getattr(mockeis.divisor, name)
         for module in users[name]:
-            assert getattr(module, name) is getattr(mockeis.divisor, name)
+            assert getattr(module, name) is target
+        for home, module in list(sys.modules.items()):
+            if home.startswith("mockeis."):
+                assert getattr(module, name, target) is target, home
 
     def test_nk_csv_loads_no_series_module(self):
         loaded = loaded_by("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "5",
@@ -849,6 +853,16 @@ class TestLazyPackage:
             "assert 'mockeis.verify' not in sys.modules\n"
             "from mockeis import verify\n"
             "assert verify is sys.modules['mockeis.verify']\n"
+        )
+
+    def test_eisenstein_members_resolves_without_verify(self):
+        run_python(
+            "import sys\n"
+            "from mockeis import eisenstein_members\n"
+            "assert eisenstein_members is sys.modules['mockeis.functions'].eisenstein_members\n"
+            "assert 'mockeis.verify' not in sys.modules\n"
+            "from mockeis import verify\n"
+            "assert verify.eisenstein_members is eisenstein_members\n"
         )
 
     def test_unknown_name_is_an_attribute_error(self):

@@ -18,6 +18,7 @@ from mockeis.wjets import (
     exp_cw,
     jet_exp,
     jet_log,
+    rational_jet,
     reciprocal_two_sinh_half,
     two_sinh_half_over_w,
 )
@@ -47,6 +48,53 @@ def padded_sum(a, b):
         y = b.coeff(d).truncate(order) if d >= b.min_deg else zero
         out.append(x + y)
     return WJet(lo, out)
+
+
+def padded_product(a, b):
+    """a * b by the schoolbook double loop over every degree pair, with no term skipped.
+
+    Each degree of a meets each degree of b that lands in the product's window;
+    below its window b reads as zero, so every pair is a product.
+    """
+    lo = a.min_deg + b.min_deg
+    hi = min(a.max_deg + b.min_deg, b.max_deg + a.min_deg)
+    order = min(a.q_order, b.q_order)
+    out = [QSeries.zero(order) for _ in range(lo, hi + 1)]
+    for i in a.degrees():
+        x = a.coeff(i).truncate(order)
+        for j in range(lo - i, hi - i + 1):
+            out[i + j - lo] = out[i + j - lo] + x * b.coeff(j).truncate(order)
+    return WJet(lo, out)
+
+
+def with_zeros(jet, parity):
+    """The jet with its coefficients at degrees of the given parity replaced by zero."""
+    zero = QSeries.zero(jet.q_order)
+    coeffs = [zero if d % 2 == parity else c for d, c in zip(jet.degrees(), jet.coeffs)]
+    return WJet(jet.min_deg, coeffs)
+
+
+def even_jet():
+    """A jet on [1, 8] that vanishes at every odd degree."""
+    rng = random.Random(11)
+    entries = {
+        d: QSeries([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
+        for d in range(2, 9, 2)
+    }
+    return build_jet(entries, 1, 8, 5)
+
+
+def series_products(monkeypatch, compute):
+    """(result, number of series-by-series products) of compute()."""
+    products = []
+    mul = QSeries.__mul__
+    monkeypatch.setattr(
+        QSeries, "__mul__",
+        lambda a, b: (isinstance(b, QSeries) and products.append(b)) or mul(a, b),
+    )
+    result = compute()
+    monkeypatch.undo()
+    return result, len(products)
 
 
 class TestJetArithmetic:
@@ -96,6 +144,20 @@ class TestJetArithmetic:
                     assert (total.min_deg, total.q_order) == (expected.min_deg, expected.q_order)
                     assert total.coeffs == expected.coeffs
 
+    def test_mul_matches_the_padded_product(self):
+        rng = random.Random(12)
+        for a_lo, b_lo in ((0, 0), (-2, 1), (1, -1), (-1, -3), (0, 3)):
+            for a_order, b_order in ((4, 4), (2, 5), (6, 0)):
+                for zeros in (False, True):
+                    a = random_jet(rng, a_lo, a_lo + 4, a_order)
+                    b = random_jet(rng, b_lo, b_lo + 3, b_order)
+                    if zeros:
+                        a, b = with_zeros(a, 1), with_zeros(b, 0)
+                    for left, right in ((a, b), (b, a)):
+                        prod, expected = left * right, padded_product(left, right)
+                        assert (prod.min_deg, prod.q_order) == (expected.min_deg, expected.q_order)
+                        assert prod.coeffs == expected.coeffs
+
     def test_wderiv(self):
         jet = monomial_jet(-1, 4, 3)
         d = jet.wderiv()
@@ -117,25 +179,44 @@ class TestJetArithmetic:
     def test_exp_of_an_even_jet_multiplies_no_zero_term(self, monkeypatch):
         # b_m vanishes at odd m, so only a_k b_{n-k} with k and n - k even is
         # a product: 1 + 2 + 3 + 4 of them through w^8.
-        rng = random.Random(11)
-        entries = {
-            d: QSeries([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)])
-            for d in range(2, 9, 2)
-        }
-        arg = build_jet(entries, 1, 8, 5)
-        products = []
-        mul = QSeries.__mul__
-        monkeypatch.setattr(
-            QSeries, "__mul__",
-            lambda a, b: (isinstance(b, QSeries) and products.append(b)) or mul(a, b),
-        )
-        expo = jet_exp(arg)
-        monkeypatch.undo()
-        assert len(products) == 10
+        arg = even_jet()
+        expo, products = series_products(monkeypatch, lambda: jet_exp(arg))
+        assert products == 10
         assert all(expo.coeff(d).is_zero() for d in range(1, 9, 2))
         back = jet_log(expo)
         for d in range(1, 9):
             assert back.coeff(d) == arg.coeff(d)
+
+    def test_mul_and_log_of_even_jets_multiply_no_zero_term(self, monkeypatch):
+        # Both factors vanish at odd degrees, so a product of degree d has a
+        # term only at even i and d - i: 1 + 2 + 3 + 4 + 5 of them through w^8,
+        # whichever factor comes first.
+        expo = jet_exp(even_jet())
+        sinc = rational_jet(two_sinh_half_over_w(8), 5)
+        for left, right in ((sinc, expo), (expo, sinc)):
+            prod, products = series_products(monkeypatch, lambda: left * right)
+            assert products == 15
+            assert prod.coeffs == padded_product(left, right).coeffs
+        # n l_n = n a_n - sum_{k<n} k l_k a_{n-k}: even k and n - k >= 2, 1 + 2 + 3.
+        back, products = series_products(monkeypatch, lambda: jet_log(expo))
+        assert products == 6
+        assert back.coeffs[1:] == even_jet().coeffs
+
+    @pytest.mark.parametrize("seed", [None, 14])
+    def test_exp_and_log_match_the_rational_series_routines(self, seed):
+        # QSeries.exp and QSeries.log share no code with the jet recurrences.
+        from mockeis.bernoulli import bernoulli
+
+        top, q_order = 12, 3
+        if seed is None:
+            a = QSeries([0, 0] + [bernoulli(j) / j / factorial(j) for j in range(2, top + 1)])
+        else:
+            rng = random.Random(seed)
+            a = QSeries([0] + [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(top)])
+        expo = jet_exp(rational_jet(a, q_order))
+        assert expo.coeffs == tuple(QSeries.constant(c, q_order) for c in a.exp().coeffs)
+        log = jet_log(expo)
+        assert log.coeffs == tuple(QSeries.constant(c, q_order) for c in a.exp().log().coeffs)
 
     def test_exp_requires_vanishing_constant(self):
         with pytest.raises(ConstantTermError):
