@@ -29,12 +29,10 @@ histograms; ``crank``, ``rank``, ``k_rank``, ``durfee_sizes`` and
 
 from __future__ import annotations
 
-import gc
 from collections import Counter, namedtuple
 from collections.abc import Sequence
-from functools import lru_cache, wraps
-from itertools import accumulate, chain, compress
-from operator import itemgetter
+from functools import lru_cache
+from itertools import accumulate, chain
 from typing import Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
@@ -49,33 +47,6 @@ def _refuse_above_the_ceiling(name: str, n: int) -> None:
     if n > PARTITION_CEILING:
         raise WindowTooLargeError(
             f"{name} = {n} exceeds the enumeration ceiling {PARTITION_CEILING}")
-
-
-def _without_gc(func):
-    """``func`` with the cyclic GC suspended while it runs.
-
-    The tallies and histograms build tuples and dicts, none of them in a
-    cycle, that a young collection would traverse.  ``partitions_of`` needs
-    no suspension: it makes a few objects per n, one blob among them, and a
-    cold build up to the ceiling runs no collection.  The caller's GC state
-    is restored however ``func`` ends, so nested calls leave it as the
-    outermost caller had it.  This is the library path: a caller that keeps
-    the GC on still pays one traversal of each new tuple after it.  The CLI
-    process runs with the GC off (see ``cli.entrypoint``), where this
-    wrapper leaves it off and costs nothing.
-    """
-
-    @wraps(func)
-    def run(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return func(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return run
 
 
 class Partitions(Sequence):
@@ -235,7 +206,6 @@ def k_rank(parts: Partition, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-@_without_gc
 def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """What the 1-free partitions of n (no part equal to 1) add to N_k, k >= 3.
 
@@ -256,11 +226,10 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     # it.  Left: (2,), and runs led by (p, p) from mu[0] <= p up to mu[1] < p.
     shifted = _one_free_tally(k, n - 1) if n > 2 else ((),)
     counts = [{v + 1: c for v, c in zip(*entry)} for entry in shifted]
-    runs = [((2,),)] if n == 2 else []
-    for p in range(n // 2, 1, -1):
-        run = _run_led_by_pair(parts, p).split(b"\0")
-        runs.append(compress(run, map((1).__lt__, map(itemgetter(-1), run))))
-    for mu in chain.from_iterable(runs):
+    runs = [_run_led_by_pair(parts, p).split(b"\0") for p in range(n // 2, 1, -1)]
+    for mu in chain([b"\x02"] if n == 2 else (), *runs):
+        if mu[-1] == 1:
+            continue
         size = len(mu)
         # Every row is at least 2 long, so each square is at least 1.
         pos = 1
@@ -292,7 +261,6 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-@_without_gc
 def statistic_histogram(k: int, n: int) -> Tuple[Tuple[int, int], ...]:
     """The nonzero N_k(m, n) as sorted (m, count) pairs, conventions applied.
 

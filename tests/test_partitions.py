@@ -527,18 +527,13 @@ class TestGarbageCollectorState:
                 call()
             assert gc.isenabled() is gc_state
 
-    def test_no_collection_runs_during_a_cold_build(self, gc_state):
-        starts = []
-
-        def record(phase, info):
-            if phase == "start":
-                starts.append(info["generation"])
-
-        gc.callbacks.append(record)
-        try:
-            partitions_of(30)
-            statistic_histogram(4, 30)
-            _one_free_tally(6, 30)
-        finally:
-            gc.callbacks.remove(record)
-        assert starts == []
+    def test_enumeration_never_switches_the_collector(self, gc_state, monkeypatch):
+        calls = []
+        for name in ("disable", "enable"):
+            monkeypatch.setattr(gc, name, lambda name=name: calls.append(name))
+        partitions_of(30)
+        for k in range(1, 6):
+            statistic_histogram(k, 30)
+        _one_free_tally(6, 30)
+        count_table(3, 6, 40)
+        assert calls == []
