@@ -135,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
         if "--allow-k2" in FLAGS[args.scope] and args.k == 2 and not args.allow_k2:
             raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from . import partitions as pt
 from .divisor import divisor_like_sum, eisenstein
 from .errors import FractionalExponentError, MissingMemberError, WindowTooLargeError
 from .flags import RANK_METHODS
-from .qseries import QSeries, check_order, partition_series, q_pochhammer
+from .qseries import QSeries, check_order, partition_series
 from .wjets import WJet, member_exp, rational_jet, two_sinh_half_over_w
 
 
@@ -198,12 +198,8 @@ def crank_moment(j: int, order: int, method: str = "combinatorial") -> QSeries:
 #     q^{n_1^2 + ... + n_{k-1}^2}
 #     / ((q)_{n_{k-1}-n_{k-2}} ... (q)_{n_2-n_1} (zeta q)_{n_1} (zeta^{-1} q)_{n_1})
 #
-# has N_k(m, n) as its coefficient of zeta^m q^n.  By the q-binomial theorem
-# (Andrews, The Theory of Partitions, 1976, Thm 3.3), 1/(zeta q)_n is
-# sum_{a>=0} z_a zeta^a with z_a = q^a [n+a-1, a]_q, so the zeta^m
-# coefficient of 1/((zeta q)_n (zeta^{-1} q)_n) is sum_b z_{b+m} z_b.  Its
-# summands start at q^{2b+m}, so b stops at 2b + m <= order; and it is even
-# in m, so only 0 <= m <= max_abs_m is computed and then mirrored.
+# has N_k(m, n) as its coefficient of zeta^m q^n.  Each factor of a summand's
+# denominator is some 1 - zeta^s q^i: s = 0 for the gaps, s = +-1 for n_1.
 
 
 def _ascending_tuples(count: int, minimum: int, budget: int):
@@ -218,7 +214,7 @@ def _ascending_tuples(count: int, minimum: int, budget: int):
 
 
 def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
-    """Second independent oracle for N_k(m, n) via the multisum expansion."""
+    """Second independent oracle for N_k(m, n): integer rows, no series kernel."""
     if k < 3:
         raise ValueError("the multisum oracle requires k >= 3")
     if max_abs_m < 0 or order < 0:
@@ -227,26 +223,21 @@ def multisum_count_table(k: int, max_abs_m: int, order: int) -> pt.CountTable:
     for tup in _ascending_tuples(k - 1, 1, order):
         base = sum(v * v for v in tup)
         rem = order - base
-        # pure-q part: product of 1/(q)_{gap} over consecutive gaps
-        purq = QSeries.one(rem)
-        for lo, hi in zip(tup, tup[1:]):
-            if hi > lo:
-                purq = purq / q_pochhammer(hi - lo, rem)
-        # z[a] for a <= rem: fold in 1/(1 - zeta q^i) for i = 1..n_1, each row
-        # gaining q^i times the row below it, which is already folded.
-        rows = [[1] + [0] * rem] + [[0] * (rem + 1) for _ in range(rem)]
-        for i in range(1, tup[0] + 1):
-            for below, row in zip(rows, rows[1:]):
-                for j in range(i, rem + 1):
-                    row[j] += below[j - i]
-        z = [QSeries._of(row) for row in rows]
-        for m in range(min(max_abs_m, rem) + 1):
-            zeta_m = sum(
-                (z[b + m] * z[b] for b in range((rem - m) // 2 + 1)), QSeries.zero(rem)
-            )
-            # Every factor has non-negative coefficients, so no count cancels.
-            for n, c in enumerate((purq * zeta_m).nums, base):
+        # rows[rem + m][e] is the coefficient of zeta^m q^e, and |m| <= e <= rem.
+        rows = [[0] * (rem + 1) for _ in range(2 * rem + 1)]
+        rows[rem][0] = 1
+        gaps = [(0, i) for lo, hi in zip(tup, tup[1:]) for i in range(1, hi - lo + 1)]
+        for s, i in gaps + [(s, i) for s in (1, -1) for i in range(1, tup[0] + 1)]:
+            # Fold in 1/(1 - zeta^s q^i): row m gains q^i times row m - s.  Rows
+            # run in the direction of s and e ascends, so each source is already
+            # folded and the whole geometric series goes in.
+            ordered = rows if s >= 0 else rows[::-1]
+            for row, src in zip(ordered[abs(s):], ordered):
+                for e in range(i, rem + 1):
+                    row[e] += src[e - i]
+        # No row has a negative entry, so no stored count cancels to 0.
+        for m in range(-min(max_abs_m, rem), min(max_abs_m, rem) + 1):
+            for n, c in enumerate(rows[rem + m], base):
                 if c:
-                    for key in {(m, n), (-m, n)}:
-                        entries[key] = entries.get(key, 0) + c
+                    entries[m, n] = entries.get((m, n), 0) + c
     return pt.CountTable(k=k, max_abs_m=max_abs_m, max_n=order, entries=entries)

@@ -183,7 +183,7 @@ def suite_counts(
     max_m: Optional[int] = None,
 ) -> List[CheckResult]:
     """N_k(m,n): enumeration vs the count series, plus the multisum for k=3."""
-    # By default the slower multisum oracle checks a smaller window.
+    # The multisum's smaller default window is part of verify's recorded output.
     n_top, n3 = (25, 15) if max_n is None else (max_n, max_n)
     m_top, m3 = (6, 5) if max_m is None else (max_m, max_m)
     results = []

@@ -6,6 +6,8 @@ from math import isqrt
 
 import pytest
 
+import mockeis.functions
+import mockeis.qseries
 from mockeis.bernoulli import bernoulli, bernoulli_poly
 from mockeis.errors import FractionalExponentError, WindowTooLargeError
 from mockeis.functions import (
@@ -340,7 +342,10 @@ class TestMultisum:
         table = multisum_count_table(3, 3, 6)
         assert all(table.count(m, 0) == 0 for m in range(-3, 4))
 
-    @pytest.mark.parametrize("k, max_m, order", [(3, 5, 12), (3, 8, 25), (5, 5, 20)])
+    @pytest.mark.parametrize(
+        "k, max_m, order",
+        [(3, 5, 12), (3, 8, 25), (5, 5, 20), (3, 40, 40), (4, 10, 40), (6, 8, 40)],
+    )
     def test_three_way_agreement(self, k, max_m, order):
         brute = count_table(k, max_m, order)
         multi = multisum_count_table(k, max_m, order)
@@ -356,3 +361,17 @@ class TestMultisum:
         for m in range(-3, 4):
             for n in range(11):
                 assert multi.count(m, n) == brute.count(m, n)
+
+    def test_no_series_arithmetic(self, monkeypatch):
+        """The oracle shares no code with the series kernel it checks."""
+        tables = {args: count_table(*args) for args in [(3, 5, 15), (4, 3, 10)]}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the multisum oracle used the series kernel")
+
+        monkeypatch.setattr(QSeries, "__mul__", refuse)
+        monkeypatch.setattr(QSeries, "__truediv__", refuse)
+        monkeypatch.setattr(mockeis.qseries, "q_pochhammer", refuse)
+        assert not hasattr(mockeis.functions, "q_pochhammer")
+        for args, brute in tables.items():
+            assert multisum_count_table(*args).entries == brute.entries
