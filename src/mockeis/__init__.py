@@ -17,7 +17,7 @@ _MODULE_OF = {
         ("divisor", "divisor_like_sum eisenstein"),
         ("functions", "crank_moment crank_moments eisenstein_members krank_count_series "
          "multisum_count_table rank_moment theta_deriv theta_series"),
-        ("mock", "MockFamily mock_eisenstein_family partition_trace phi_weight psi_weight"),
+        ("mock", "MockFamily mock_eisenstein_family partition_trace phi_weight"),
         ("partitions", "PARTITION_CEILING CountTable count_table crank durfee_sizes "
          "k_rank partitions_of rank"),
         ("pde", "appell5_jet heat_operator pde_residual theta_ode_residual"),

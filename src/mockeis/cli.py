@@ -67,9 +67,6 @@ def cmd_f(args: argparse.Namespace) -> int:
             )
         lines = "".join(f"{n} {c}\n" for n, c in enumerate(shifted.nums))
         _emit([lines], args.out)
-    if args.k == 2:
-        print("note: k = 2 output is extrapolated beyond the verified range k >= 3",
-              file=sys.stderr)
     return 0
 
 
@@ -132,9 +129,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--out needs a file name")
         for option, flag in FLAGS[args.scope].items():
             check(args.scope, option, getattr(args, flag.dest))
-        if "--allow-k2" in FLAGS[args.scope] and args.k == 2 and not args.allow_k2:
+        extrapolated = "--allow-k2" in FLAGS[args.scope] and args.k == 2
+        if extrapolated and not args.allow_k2:
             raise ConfigError("k = 2 is an extrapolation; pass --allow-k2 to compute it")
-        return args.handler(args)
+        code = args.handler(args)
+        if extrapolated:
+            print("note: k = 2 output is extrapolated beyond the verified range k >= 3",
+                  file=sys.stderr)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

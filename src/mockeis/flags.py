@@ -33,7 +33,7 @@ FLAGS = {
           "--out": _OUT, "--allow-k2": _ALLOW_K2},
     "table Nk": {"--k": _K, "--format": _CSV, "--out": _OUT,
                  "--maxm": Flag("max_m", 0, kwargs=_NEED),
-                 "--maxn": Flag("max_n", 0, False, _CEIL, _NEED), "--allow-k2": _ALLOW_K2},
+                 "--maxn": Flag("max_n", 0, False, _CEIL, _NEED)},
     "table moments": {
         "--k": Flag("k", 3, kwargs=_NEED), "--format": _CSV, "--out": _OUT,
         "--j": Flag("j", 0, kwargs=_NEED), "--order": _ORDER,

@@ -17,10 +17,9 @@ divisor-like sums g_ell = g_{2,2k-1,ell}:
   * logRoute: read 2 f_j / j! off the w^j coefficient of
         log(1 + sum_j (j g_j / 2^{j-2}) w^j / j!).
 
-Partition traces use the weights
-
-    phi(lambda) = prod_k 2^{l_k} / (l_k! k!^{l_k}),
-    psi(lambda) = (-1)^{sum l_k} phi(lambda).
+Partition traces use the weight phi(lambda) = prod_k 2^{l_k} / (l_k! k!^{l_k}).
+The psi(lambda) = (-1)^{sum l_k} phi(lambda) of recursionB is one sign per
+part, so Tr_n(psi, f) = Tr_n(phi, -f): recursionB traces the negated members.
 """
 
 from __future__ import annotations
@@ -49,19 +48,10 @@ def phi_weight(lam: Tuple[int, ...]) -> Fraction:
     return w
 
 
-def psi_weight(lam: Tuple[int, ...]) -> Fraction:
-    """psi(lambda) = (-1)^{number of parts} phi(lambda)."""
-    sign = -1 if len(lam) % 2 else 1
-    return sign * phi_weight(lam)
-
-
-_WEIGHTS = {"phi": phi_weight, "psi": psi_weight}
-
-
 def partition_trace(
-    n: int, members: Members, order: int, weight: str = "phi", monomials: Optional[dict] = None
+    n: int, members: Members, order: int, *, monomials: Optional[dict] = None
 ) -> QSeries:
-    """Tr_n(weight, f) = sum_{lambda of n} weight(lambda) prod_k f_k^{l_k}.
+    """Tr_n(phi, f) = sum_{lambda of n} phi(lambda) prod_k f_k^{l_k}.
 
     ``members`` maps a part size to its series, and is called once per part
     size; odd members are expected to be zero series.  Tr_0 = 1.  ``monomials`` may be a
@@ -70,10 +60,6 @@ def partition_trace(
     later traces read mu only as the head of mu + (p,), p <= mu[-1], each mu
     with |mu| + mu[-1] <= n is dropped (a smaller n asked later rebuilds it).
     """
-    try:
-        weigh = _WEIGHTS[weight]
-    except KeyError:
-        raise ValueError(f"unknown trace weight {weight!r}") from None
     if monomials is None:
         monomials = {}
     factors = [None, *(None if f.is_zero() else f for f in map(members, range(1, n + 1)))]
@@ -81,7 +67,7 @@ def partition_trace(
     for lam in partitions_of(n).codes:
         term = _monomial(lam, factors, order, monomials)
         if term is not None:
-            total = total + term * weigh(lam)
+            total = total + term * phi_weight(lam)
     for mu in [mu for mu in monomials if sum(mu) + mu[-1] <= n]:
         del monomials[mu]
     return total
@@ -165,24 +151,25 @@ def _route_recursion_a(g: Dict[int, QSeries], max_j: int, order: int) -> Dict[in
 
 def _route_recursion_b(g: Dict[int, QSeries], max_j: int, order: int) -> Dict[int, QSeries]:
     members: Dict[int, QSeries] = {}
+    negated: Dict[int, QSeries] = {}
 
     def partial(j: int) -> QSeries:
         if j % 2:
             return QSeries.zero(order)
-        return members[j]
+        return negated[j]
 
-    # traces[i] = Tr_{2i}(psi, f), each from the members below it.
+    # traces[i] = Tr_{2i}(psi, f) = Tr_{2i}(phi, -f), each from the members below it.
     traces: List[QSeries] = []
     monomials: dict = {}
     for n in range(2, max_j + 1, 2):
-        traces.append(partition_trace(n - 2, partial, order, "psi", monomials))
+        traces.append(partition_trace(n - 2, partial, order, monomials=monomials))
         acc = QSeries.zero(order)
         for ell in range(2, n + 1, 2):
             coeff = Fraction(ell, 2 ** (ell - 1)) * Fraction(
                 factorial(n - 1), factorial(ell - 1)
             )
             acc = acc + (g[ell] * traces[(n - ell) // 2]) * coeff
-        members[n] = acc
+        members[n], negated[n] = acc, -acc
     return members
 
 

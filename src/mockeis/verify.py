@@ -97,7 +97,7 @@ def _trace_residuals(moments: List[QSeries], members: mock.Members, order: int) 
     max_j = len(moments) - 1
     monomials: dict = {}
     traces = build_jet(
-        {j: mock.partition_trace(j, members, order, "phi", monomials) for j in range(max_j + 1)},
+        {j: mock.partition_trace(j, members, order, monomials=monomials) for j in range(max_j + 1)},
         0,
         max_j,
         order,

@@ -183,7 +183,7 @@ def member_exp(
 
     By the exponential formula (Stanley, Enumerative Combinatorics vol. 2,
     1999, ch. 5), scale 2 gives the partition traces Tr_n(phi, members) as
-    the coefficients of w^n, and scale -2 gives Tr_n(psi, members).
+    the coefficients of w^n.
     """
     entries = {j: members(j) * Fraction(scale, factorial(j)) for j in range(2, max_deg + 1, 2)}
     return jet_exp(build_jet(entries, 1, max_deg, q_order))

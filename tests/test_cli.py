@@ -154,7 +154,7 @@ class TestFCommand:
 # The flags each table kind takes, and a value each table flag accepts (None: a
 # switch; --out is set to a path by each test).
 TABLE_FLAGS = {
-    "Nk": ("--k", "--maxm", "--maxn", "--format", "--out", "--allow-k2"),
+    "Nk": ("--k", "--maxm", "--maxn", "--format", "--out"),
     "moments": ("--k", "--j", "--order", "--method", "--format", "--out"),
     "traces": ("--k", "--maxj", "--order", "--route", "--format", "--out", "--allow-k2"),
 }
@@ -282,6 +282,19 @@ class TestTableCommand:
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("f", "--j", "2", "--order", "6", "--format", "json"),
+        ("table", "traces", "--maxj", "2", "--order", "5"),
+    ], ids=["f", "traces"])
+    def test_k2_output_is_labeled_on_stderr(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--k", "2", "--allow-k2")
+        assert (code, err) == (0, "note: k = 2 output is extrapolated beyond the verified "
+                                  "range k >= 3\n")
+        if argv[0] == "f":
+            assert json.loads(out)["extrapolated"] is True
+        code, _, err = run_cli(capsys, *argv, "--k", "3")
+        assert (code, err) == (0, "")
+
     def test_traces_above_the_ceiling_exit_code(self, capsys):
         code, out, err = run_cli(
             capsys, "table", "traces", "--k", "3", "--maxj", "41", "--order", "1"
@@ -328,7 +341,8 @@ class TestTableCommand:
         assert err == "error: table moments needs --k >= 3\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1)])
+    # k = 2 too: N_2 is the ordinary rank, enumerated, so it needs no flag and gets no note.
+    @pytest.mark.parametrize("k, max_m, max_n", [(3, 4, 9), (5, 0, 0), (4, 2, 1), (2, 2, 5)])
     def test_nk_streams_the_bytes_of_the_whole_text(self, capsys, tmp_path, fmt, k, max_m, max_n):
         # The text the table command built in one piece before it streamed.
         table = count_table(k, max_m, max_n)
@@ -345,8 +359,8 @@ class TestTableCommand:
             whole = json.dumps(payload) + "\n"
         argv = ("table", "Nk", "--k", str(k), "--maxm", str(max_m), "--maxn", str(max_n),
                 "--format", fmt)
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
         assert out == whole
         target = tmp_path / f"nk.{fmt}"
         code, out, _ = run_cli(capsys, *argv, "--out", str(target))
@@ -444,7 +458,7 @@ HELP_SHA256 = {
     "": "4d73186d179f48fe24dbe5254650edc216586a2fa8d4141e96f8f196abf09134",
     "f": "d07320aa5cc8fc5861d1eb51664ef2357f20ef68dba38e9c7d0ab38f0cbbab2e",
     "table": "ac7071dc01e29d7f87787ddd1d43cc4af992ff0e6000695be2c201dcc4969a31",
-    "table Nk": "246b277e67c53f7ea4c676072944447eac6241e3cfb9e5a3f85205dc3c493d6b",
+    "table Nk": "e598201261ddeac5bd70c59f3a10041e013a7c87ea01e6256e5d571896d039e6",
     "table moments": "76f2eb436e5caeefdffd5bfcf671c6cc7fd18987f446d1f0beb354a6dfca16ce",
     "table traces": "dad5806ca79c959289138c90734f93413310cadaa5ec077bf8c539a81c240d7b",
     "verify": "433ece663513fd4cddd5dd071648a35ed30ffdcf248373ff71e4c8ff5044a005",
@@ -517,6 +531,23 @@ class TestReadme:
             f"| `{scope}` | {', '.join(accepts(*row) for row in table.items())} |"
             for scope, table in flags.FLAGS.items()
         ]
+
+    def test_the_documented_parser_sizes_are_built(self):
+        def options(parser):
+            """The option actions of the parser and of every parser below it."""
+            count = 0
+            for action in parser._actions:
+                count += bool(action.option_strings)
+                if isinstance(action.choices, dict):  # the subparsers
+                    count += sum(map(options, action.choices.values()))
+            return count
+
+        sizes = {"table traces": 14, "table moments": 13, "table Nk": 12, "f": 11, "verify": 10}
+        assert {command: options(cli.build_parser(command.split())) for command in sizes} == sizes
+        assert options(cli.build_parser(None)) == 38
+        assert ("(14 option actions for `table traces`, 13 for `table moments`, 12 for "
+                "`table Nk`, 11 for `f` and 10 for `verify`, against 38 for the whole parser)"
+                ) in " ".join(README.read_text("utf-8").split())
 
     def test_the_documented_output_is_printed(self, capsys):
         command = "mockeis f --k 3 --j 2 --order 8 --format text"
@@ -872,7 +903,7 @@ class TestLazyPackage:
 
 BFILE = ("f", "--k", "3", "--j", "12", "--order", "2000", "--format", "bfile")  # 75 KB
 SMALL = ("table", "Nk", "--k", "3", "--maxm", "2", "--maxn", "8")  # fits stdout's buffer
-K2 = ("table", "Nk", "--k", "2", "--maxm", "2", "--maxn", "5")  # a ConfigError: exit 2
+K2 = ("table", "traces", "--k", "2", "--maxj", "2", "--order", "5")  # a ConfigError: exit 2
 
 # sitecustomize runs before the package is imported, and teardown frees its
 # module.  __del__ is a partial, not a function, so the class holds no

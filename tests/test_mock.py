@@ -17,11 +17,9 @@ from mockeis.functions import divisor_like_sum, rank_moment, theta_series
 from mockeis.mock import (
     MockFamily,
     ROUTES,
-    _WEIGHTS,
     mock_eisenstein_family,
     partition_trace,
     phi_weight,
-    psi_weight,
 )
 from mockeis.partitions import partitions_of
 from mockeis.qseries import QSeries, euler_product, partition_series
@@ -33,6 +31,12 @@ from mockeis.verify import (
     trace_identity_residuals,
 )
 from mockeis.wjets import build_jet, jet_exp, member_exp, rational_jet, two_sinh_half_over_w
+
+
+def weighed(members, weight):
+    """Members whose phi trace is Tr_n(weight, members): Tr_n(psi, f) is Tr_n(phi, -f)."""
+    return members if weight == "phi" else lambda j: -members(j)
+
 
 # Published low-order coefficients of f_{k,j}; full prefixes, constants
 # included.  (The (4,6) row's q^8 entry appears with a misprinted
@@ -123,8 +127,13 @@ class TestTraces:
         assert phi_weight(()) == 1
         assert phi_weight((2,)) == 1
         assert phi_weight((1, 1)) == 2
-        assert psi_weight((2,)) == -1
-        assert psi_weight((1, 1)) == 2
+
+    def test_the_weight_is_not_an_argument(self):
+        # A caller still passing the old weight by position is refused,
+        # instead of having the string taken for the monomial dict.
+        fam = mock_eisenstein_family(3, 4, 8)
+        with pytest.raises(TypeError):
+            partition_trace(2, fam.member, 8, "psi")
 
     def test_trace_zero_is_one(self):
         fam = mock_eisenstein_family(3, 4, 8)
@@ -149,15 +158,17 @@ class TestTraces:
         # sum_n Tr_n(weight, f) w^n = exp(scale * sum_j f_j w^j / j!), the
         # exponential formula: by enumeration, by member_exp, and by a jet
         # built here by hand, so that member_exp is not its own reference.
+        # Tr_n(psi, f) is enumerated as Tr_n(phi, -f).
         order, top = 30, 16
         if family == "eisenstein":
-            members = eisenstein_members(order)
+            unsigned = eisenstein_members(order)
         else:
-            members = mock_eisenstein_family(int(family[-1]), top, order).member
+            unsigned = mock_eisenstein_family(int(family[-1]), top, order).member
+        members = weighed(unsigned, weight)
         expo = jet_exp(
             build_jet(
                 {
-                    j: members(j) * F(scale, factorial(j))
+                    j: unsigned(j) * F(scale, factorial(j))
                     for j in range(2, top + 1, 2)
                 },
                 2,
@@ -165,10 +176,10 @@ class TestTraces:
                 order,
             )
         )
-        helper = member_exp(members, scale, top, order)
+        helper = member_exp(unsigned, scale, top, order)
         monomials = {}
         for n in range(top + 1):
-            trace = partition_trace(n, members, order, weight, monomials)
+            trace = partition_trace(n, members, order, monomials=monomials)
             assert trace == expo.coeff(n) == helper.coeff(n)
 
     def test_a_trace_resolves_each_part_once(self):
@@ -188,24 +199,26 @@ class TestTraces:
 
     @pytest.mark.parametrize("weight", ["phi", "psi"])
     def test_shared_monomials(self, weight, monkeypatch):
-        # Members with every part size alive, and a family whose odd members vanish.
-        order = 12
+        # Members with every part size alive, and a family whose odd members
+        # vanish; Tr_n(psi, f) is traced as Tr_n(phi, -f).
+        order, sign = 12, -1 if weight == "psi" else 1
         dense = {j: QSeries([F(j, 3), -j, 1, *range(order - 2)]) for j in range(1, 11)}
         fam = mock_eisenstein_family(3, 10, order)
-        for members in (dense.__getitem__, fam.member):
-            fresh = [partition_trace(n, members, order, weight) for n in range(11)]
+        for unsigned in (dense.__getitem__, fam.member):
+            members = weighed(unsigned, weight)
+            fresh = [partition_trace(n, members, order) for n in range(11)]
             # The product of member powers for each partition, as the definition reads.
             for n, trace in enumerate(fresh):
                 expected = QSeries.zero(order)
                 for lam in partitions_of(n):
                     term = QSeries.one(order)
                     for part, mult in Counter(lam).items():
-                        term = term * members(part) ** mult
-                    expected = expected + term * _WEIGHTS[weight](lam)
+                        term = term * unsigned(part) ** mult
+                    expected = expected + term * (sign ** len(lam) * phi_weight(lam))
                 assert trace == expected
             for ns in (range(11), range(10, -1, -1)):
                 monomials = {}
-                shared = {n: partition_trace(n, members, order, weight, monomials) for n in ns}
+                shared = {n: partition_trace(n, members, order, monomials=monomials) for n in ns}
                 assert [shared[n] for n in range(11)] == fresh
             # A second pass over the same dict finds every monomial built.
             kernel = qseries._kronecker_product
@@ -214,7 +227,7 @@ class TestTraces:
                 patch.setattr(
                     qseries, "_kronecker_product", lambda a, b: calls.append(len(a)) or kernel(a, b)
                 )
-                again = [partition_trace(n, members, order, weight, monomials) for n in range(11)]
+                again = [partition_trace(n, members, order, monomials=monomials) for n in range(11)]
             assert again == fresh
             assert calls == []
 
@@ -227,7 +240,7 @@ class TestTraces:
         for members in (dense.__getitem__, fam.member):
             monomials = {}
             for n in range(13):
-                partition_trace(n, members, order, "phi", monomials)
+                partition_trace(n, members, order, monomials=monomials)
                 assert all(sum(mu) + mu[-1] > n for mu in monomials)
                 codes = partitions_of(n).codes if n else ()  # () is never stored
                 live = {mu for mu in codes if not any(members(p).is_zero() for p in mu)}
@@ -241,11 +254,12 @@ class TestTraces:
         order = 10
         dense = {j: QSeries([F(j, 7), -1, j, *range(order - 2)]) for j in range(1, 13)}
         fam = mock_eisenstein_family(4, 12, order)
-        for members in (dense.__getitem__, fam.member):
-            fresh = [partition_trace(n, members, order, weight) for n in range(13)]
+        for unsigned in (dense.__getitem__, fam.member):
+            members = weighed(unsigned, weight)
+            fresh = [partition_trace(n, members, order) for n in range(13)]
             for ns in ([12, 3, 7, 7, 0, 11, 2, 9], [5, 6, 1, 12, 4, 10, 8, 12, 2]):
                 monomials = {}
-                assert [partition_trace(n, members, order, weight, monomials) for n in ns] == [
+                assert [partition_trace(n, members, order, monomials=monomials) for n in ns] == [
                     fresh[n] for n in ns
                 ]
 
