@@ -210,7 +210,8 @@ def _family_args(
             f"--j {max_j} by recursionB traces the partitions of {max_j - 2}, above "
             f"the enumeration ceiling {PARTITION_CEILING}"
         )
-    return (k, max_j, route, allow_k2), order
+    # allow_k2 only gates k = 2, above, so it cannot change a result: not keyed.
+    return (k, max_j, route), order
 
 
 @order_cache(_family_args)

@@ -19,10 +19,11 @@ of ``partitions_of(n)`` for the crank and the rank.  For k >= 3 it is
 1-free partitions plus a closed form for the ones-tails: N_k(., n-1)
 shifted by one, plus what the partitions of n with no part 1 and, through
 their ones-tails, those of n-1 .. n-k+2 contribute, read from a cached
-tally: that of n-1 shifted by one, plus a walk of those led by (p, p),
-split from one slice of the blob that ``partitions_of(n)`` keeps for all
-its partitions (see :class:`Partitions`).  :func:`count_table` and the
-combinatorial moments in :mod:`mockeis.functions` only read those
+tally: that of n-1 shifted by one, plus a walk of those led by (p, p).
+Beside the blob of all its partitions, ``partitions_of(n)`` keeps an index
+of the ones with no part 1, built in the same pass, and the walk splits
+only its runs led by (p, p) (see :class:`Partitions`).  :func:`count_table`
+and the combinatorial moments in :mod:`mockeis.functions` only read those
 histograms; ``crank``, ``rank``, ``k_rank``, ``durfee_sizes`` and
 ``conjugate`` are the definitional statistics they are tested against.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterator, Tuple
 
 from .errors import ConventionCaseError, WindowTooLargeError
@@ -55,24 +56,41 @@ class Partitions(Sequence):
     ``blob`` holds them as one ``bytes``: a code of one byte per part for
     each partition, joined by ``b"\\0"`` (no part is 0).  ``starts[q]`` is the
     offset of the first code led by q, and ``starts[0]`` is one past the end.
-    Up to the ceiling the blobs take 2.6 MB (``sys.getsizeof``), against
+    Up to the ceiling the blobs take 2.56 MB (``sys.getsizeof``), against
     10.7 MiB as one ``bytes`` per partition.  ``codes``, that tuple of
     ``bytes``, is split afresh on every read, and indexing reads it, so
     indexing in a loop is quadratic: iterate, or read ``codes`` once.  Every
-    other read, ``reversed`` and ``index`` included, splits it once.  The view
-    equals the tuple of its tuples; it is not hashable, and has no ``+``.
+    other read, ``reversed`` and ``index`` included, splits it once; the
+    length is counted on the first ``len()``.  The view equals the tuple of
+    its tuples; it is not hashable, and has no ``+``.
+
+    For n >= 2, ``partitions_of(n)`` also keeps an index of the codes with no
+    part 1, which the k-rank tally walks: ``one_free`` joins them in the same
+    order and ``one_free_starts[q]`` is the offset of the first led by at most
+    q (one past the end if none), and ``pair_runs`` slices out of ``one_free``
+    each nonempty run led by a pair (p, p), p descending.  Up to the ceiling
+    the index adds 333,009 bytes (``sys.getsizeof`` of its blobs, tuples and
+    slices; 302,161 of them the blobs).  A view built from ``blob`` and
+    ``starts`` alone has an empty index.
     """
 
-    __slots__ = ("_blob", "_starts", "_len")
+    __slots__ = ("_blob", "_starts", "_len", "_one_free", "_one_free_starts", "_pair_runs")
 
-    def __init__(self, blob: bytes, starts: Tuple[int, ...]):
-        self._blob, self._starts, self._len = blob, starts, blob.count(b"\0") + 1
+    def __init__(self, blob: bytes, starts: Tuple[int, ...], one_free: bytes = b"",
+                 one_free_starts: Tuple[int, ...] = (), pair_runs: Tuple[slice, ...] = ()):
+        self._blob, self._starts, self._len = blob, starts, None
+        self._one_free, self._one_free_starts, self._pair_runs = one_free, one_free_starts, pair_runs
 
     blob = property(lambda self: self._blob)
     starts = property(lambda self: self._starts)
     codes = property(lambda self: tuple(self._blob.split(b"\0")))
+    one_free = property(lambda self: self._one_free)
+    one_free_starts = property(lambda self: self._one_free_starts)
+    pair_runs = property(lambda self: self._pair_runs)
 
     def __len__(self) -> int:
+        if self._len is None:
+            self._len = self._blob.count(b"\0") + 1
         return self._len
 
     def __getitem__(self, index):
@@ -86,7 +104,7 @@ class Partitions(Sequence):
         return map(tuple, reversed(self.codes))
 
     def index(self, value, start: int = 0, stop: int | None = None) -> int:
-        return tuple(self).index(value, start, self._len if stop is None else stop)
+        return tuple(self).index(value, start, len(self) if stop is None else stop)
 
     def __eq__(self, other) -> bool:  # defining it leaves __hash__ None
         if isinstance(other, Partitions):
@@ -97,6 +115,11 @@ class Partitions(Sequence):
         return f"Partitions({tuple(self)!r})"
 
 
+def _prefixed(blob: bytes, start: int, stop: int | None, sep_lead: bytes) -> bytes:
+    """``sep_lead`` before each code of ``blob[start:stop]``, which starts a code and ends one."""
+    return (blob[start - 1 : stop] if start else b"\0" + blob[:stop]).replace(b"\0", sep_lead)
+
+
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> Partitions:
     """All partitions of n, reverse-lexicographically, each once: a cached read-only view."""
@@ -105,24 +128,35 @@ def partitions_of(n: int) -> Partitions:
     _refuse_above_the_ceiling("n", n)
     if n == 0:
         return Partitions(b"", (1,))
-    # (n,), then block p for p = n-1 .. 1: p before each code of n-p led by
-    # <= p, a tail of its blob, with p inserted after every separator.
-    blocks = [bytes((n,))]
+    if n == 1:  # no larger n reads the 1-free index of 1
+        return Partitions(b"\x01", (2, 0))
+    # (n,), then block p for p = n-1 .. 1: a separator, then p before each code
+    # of n-p led by <= p, cut from the blob of n-p.  Block p of the 1-free
+    # codes is cut the same way from those of n-p, for 2 <= p <= n-2; at
+    # p <= n-p it opens with the run led by (p, p), which is cut on its own.
+    blocks, free_blocks, runs = [bytes((n,))], [bytes((n,))], []
+    starts, free_starts = [0] * (n + 1), [0] * (n + 1)
+    size = free_size = 1
     for p in range(n - 1, 0, -1):
-        rest, lead = partitions_of(n - p), bytes((p,))
-        blocks.append(lead + rest.blob[rest.starts[min(p, n - p)] :].replace(b"\0", b"\0" + lead))
-    offsets = tuple(accumulate((len(block) + 1 for block in blocks), initial=0))
-    return Partitions(b"\0".join(blocks), offsets[::-1])
-
-
-def _run_led_by_pair(parts: Partitions, p: int) -> bytes:
-    """The codes of ``parts`` led by (p, p), still joined, for 2 <= p <= n/2.
-
-    They open block p, and the codes led by (p, p-1) follow them: those
-    exist, as n - p >= p - 1 >= 1.
-    """
-    blob, start = parts.blob, parts.starts[p]
-    return blob[start : blob.find(b"\0" + bytes((p, p - 1)), start, parts.starts[p - 1])]
+        rest, sep_lead = partitions_of(n - p), bytes((0, p))
+        starts[p], free_starts[p] = size + 1, free_size + 1
+        blocks.append(_prefixed(rest.blob, rest.starts[min(p, n - p)], None, sep_lead))
+        size += len(blocks[-1])
+        if 2 <= p <= n - 2:
+            free, cuts = rest.one_free, rest.one_free_starts
+            cut = 0  # at p > n-p every 1-free code of n-p is led by <= p
+            if p <= n - p:
+                cut = cuts[p - 1]
+                run = _prefixed(free, cuts[p], cut - 1, sep_lead)
+                if run:
+                    runs.append(slice(free_size + 1, free_size + len(run)))
+                    free_blocks.append(run)
+                    free_size += len(run)
+            free_blocks.append(_prefixed(free, cut, None, sep_lead))
+            free_size += len(free_blocks[-1])
+    starts[0], free_starts[0] = size + 1, free_size + 1
+    return Partitions(b"".join(blocks), tuple(starts), b"".join(free_blocks),
+                      tuple(free_starts), tuple(runs))
 
 
 def conjugate(parts: Partition) -> Partition:
@@ -216,7 +250,10 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     values, their counts), or () when empty: up to the ceiling these take
     36 KB for k = 3 (sys.getsizeof), against 99 KB as one (value, count)
     tuple per value.  Only mu[0] == mu[1] is walked; the rest is the tally
-    of n-1, shifted.  The cache holds at most PARTITION_CEILING entries per k.
+    of n-1, shifted.  The walk splits the ``pair_runs`` of the 1-free index
+    of ``partitions_of(n)`` itself, so every code it reads is walked: 6,152
+    over n <= 40, plus (2,).  The cache holds at most PARTITION_CEILING
+    entries per k.
     """
     parts = partitions_of(n)
     # Top-row lemma: a 1-free mu with mu[0] > mu[1] (0 if absent) and mu[0] >= 3
@@ -226,10 +263,9 @@ def _one_free_tally(k: int, n: int) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     # it.  Left: (2,), and runs led by (p, p) from mu[0] <= p up to mu[1] < p.
     shifted = _one_free_tally(k, n - 1) if n > 2 else ((),)
     counts = [{v + 1: c for v, c in zip(*entry)} for entry in shifted]
-    runs = [_run_led_by_pair(parts, p).split(b"\0") for p in range(n // 2, 1, -1)]
+    free = parts.one_free
+    runs = [free[run].split(b"\0") for run in parts.pair_runs]
     for mu in chain([b"\x02"] if n == 2 else (), *runs):
-        if mu[-1] == 1:
-            continue
         size = len(mu)
         # Every row is at least 2 long, so each square is at least 1.
         pos = 1

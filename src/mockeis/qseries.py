@@ -439,12 +439,20 @@ class QSeries:
 def euler_product(order: int) -> QSeries:
     """(q)_inf = prod_{k>=1} (1 - q^k), truncated at the given order.
 
-    Computed by the finite product; the pentagonal-number form is the
-    theta series with (a, b) = (1, 3) and the two agree (pentagonal
-    number theorem), which the test suite checks.
+    Summed by Euler's pentagonal number theorem: (q)_inf is the sum over
+    all integers n of (-1)^n q^(n(3n-1)/2), so O(sqrt(order)) terms are set.
+    The test suite checks it against the finite product ``q_pochhammer``
+    and against the theta series with (a, b) = (1, 3).
     """
     check_order(order)
-    return q_pochhammer(order, order)
+    c = [1] + [0] * order
+    n = 1
+    while (e := n * (3 * n - 1) // 2) <= order:
+        c[e] = (-1) ** n
+        if e + n <= order:  # the exponent of -n
+            c[e + n] = (-1) ** n
+        n += 1
+    return QSeries._of(c)
 
 
 def _order_only(order: int):

@@ -88,6 +88,16 @@ class TestFamilyTables:
         assert fam.extrapolated
         # with k=2 the leading pattern starts at q^2
         assert fam.member(2).coeff(2) == 1
+        # The refusal comes before the cache lookup, which the key no longer tells apart.
+        with pytest.raises(ValueError):
+            mock_eisenstein_family(2, 4, 8)
+
+    def test_allow_k2_is_not_part_of_the_cache_key(self):
+        mock_eisenstein_family.cache_clear()
+        fam = mock_eisenstein_family(3, 4, 8)
+        assert mock_eisenstein_family(3, 4, 8, allow_k2=True) is fam
+        info = mock_eisenstein_family.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestRoutes:

@@ -155,12 +155,36 @@ class TestPartitionsBlob:
                 assert block.split(b"\0") == [mu for mu in parts.codes if mu[0] == q]
             assert parts.starts[n] == 0 and parts.starts[0] == len(parts.blob) + 1
 
-    def test_run_led_by_a_pair_is_the_codes_led_by_p_p(self):
-        for n in range(4, PARTITION_CEILING + 1):
+    def test_one_free_blob_is_the_codes_with_no_part_1(self):
+        for n in range(2, PARTITION_CEILING + 1):
             parts = partitions_of(n)
-            for p in range(2, n // 2 + 1):
-                run = partitions._run_led_by_pair(parts, p).split(b"\0")
-                assert run == [mu for mu in parts.codes if len(mu) > 1 and mu[0] == mu[1] == p]
+            assert parts.one_free.split(b"\0") == [mu for mu in parts.codes if mu[-1] != 1]
+
+    def test_one_free_starts_cut_the_codes_led_by_at_most_q(self):
+        for n in range(2, PARTITION_CEILING + 1):
+            parts = partitions_of(n)
+            free, starts = parts.one_free, parts.one_free_starts
+            assert len(starts) == n + 1 and starts[n] == 0
+            assert starts[1] == starts[0] == len(free) + 1
+            for q in range(2, n + 1):
+                tail = free[starts[q] :].split(b"\0") if starts[q] <= len(free) else []
+                assert tail == [mu for mu in free.split(b"\0") if mu[0] <= q]
+
+    def test_run_led_by_a_pair_is_the_codes_led_by_p_p(self):
+        for n in range(2, PARTITION_CEILING + 1):
+            parts = partitions_of(n)
+            runs = [parts.one_free[run].split(b"\0") for run in parts.pair_runs]
+            by_pair = {p: [] for p in range(n // 2, 1, -1)}
+            for mu in parts.codes:
+                if len(mu) > 1 and mu[0] == mu[1] and mu[-1] != 1:
+                    by_pair[mu[0]].append(mu)
+            assert runs == [run for run in by_pair.values() if run]
+
+    def test_a_view_of_blob_and_starts_alone_has_an_empty_index(self):
+        parts = partitions_of(12)
+        view = Partitions(parts.blob, parts.starts)
+        assert view == parts and len(view) == len(parts) == 77
+        assert (view.one_free, view.one_free_starts, view.pair_runs) == (b"", (), ())
 
     def test_separators_are_single_and_inside(self):
         for n in range(1, PARTITION_CEILING + 1):

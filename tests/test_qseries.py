@@ -167,6 +167,10 @@ class TestEulerProduct:
         for order in range(0, 61):
             assert euler_product(order) == theta_series(1, 3, order)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 40, 300])
+    def test_equals_the_finite_product(self, order):
+        assert euler_product(order) == q_pochhammer(order, order)
+
     def test_q_pochhammer(self):
         assert q_pochhammer(0, 5) == QSeries.one(5)
         assert q_pochhammer(2, 5) == QSeries([1, -1, -1, 1, 0, 0])
