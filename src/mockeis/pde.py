@@ -19,6 +19,11 @@ family, is the jet
 
 and it satisfies (H_3 H_1 - (220/3) G_4) A_5 = -24 w^{-5} exp(10 sum_k G_k w^k/k!);
 the right-hand side's -24 w^{-5} is the w-form of (3i)/(4 pi^5 z^5).
+Since 2 sinh(w/2) = e^{-w/2} (e^w - 1), the two theta_{1,5} terms sum to
+-e^{w/2} theta_{1,5}, so the code subtracts e^{c_a w} theta_{a,5} for each
+a -> c_a of ``_THETA_C``.  For any q-series s, (H_3 H_1 - (220/3) G_4)(e^{cw} s)
+is 100 e^{cw} times the operator of ``theta_ode_residual`` at alpha = c^2/10,
+so the theta terms drop out of the PDE exactly when the theta ODE holds.
 """
 
 from __future__ import annotations
@@ -29,25 +34,20 @@ from .errors import ConfigError
 from .functions import eisenstein, eisenstein_exponential, theta_series
 from .mock import mock_eisenstein_family
 from .qseries import QSeries
-from .wjets import WJet, exp_cw, member_exp, reciprocal_two_sinh_half
+from .wjets import WJet, exp_cw, member_exp
+
+_THETA_C = {1: Fraction(1, 2), 3: Fraction(3, 2)}
 
 
 def appell5_jet(max_deg: int, q_order: int) -> WJet:
-    """The level-5 Appell jet on the certified window [-1, max_deg]."""
+    """The level-5 Appell jet, in the theta form above, on the certified window [-1, max_deg]."""
     if max_deg < 1 or q_order < 1:
         raise ValueError("max_deg and q_order must be >= 1")
-    need_j = max_deg + 1 if (max_deg + 1) % 2 == 0 else max_deg + 2
-    family = mock_eisenstein_family(3, need_j, q_order)
-
-    th15 = theta_series(1, 5, q_order)
-    th35 = theta_series(3, 5, q_order)
-    inv_sinh = reciprocal_two_sinh_half(max_deg + 1, q_order)
-
-    term1 = -member_exp(family.member, 2, max_deg + 1, q_order).shift(-1)
-    term2 = inv_sinh.scale(th15)
-    term3 = -(exp_cw(1, max_deg + 1, q_order) * inv_sinh).scale(th15)
-    term4 = -exp_cw(Fraction(3, 2), max_deg, q_order).scale(th35)
-    return term1 + term2 + term3 + term4
+    family = mock_eisenstein_family(3, max_deg + 2 - max_deg % 2, q_order)  # an even j > max_deg
+    jet = -member_exp(family.member, 2, max_deg + 1, q_order).shift(-1)
+    for a, c in _THETA_C.items():
+        jet = jet - exp_cw(c, max_deg, q_order).scale(theta_series(a, 5, q_order))
+    return jet
 
 
 def heat_operator(j: int, jet: WJet) -> WJet:
@@ -82,19 +82,16 @@ def pde_residual(max_deg: int, q_order: int) -> WJet:
     return lhs - rhs
 
 
-_THETA_SHIFTS = {1: Fraction(1, 40), 3: Fraction(9, 40)}
-
-
 def theta_ode_residual(a: int, q_order: int) -> QSeries:
     """Residual of the second-order theta differential equation.
 
-    With alpha = 1/40 for theta_{1,5} and 9/40 for theta_{3,5} (the
+    With alpha = c_a^2/10 (1/40 for theta_{1,5} and 9/40 for theta_{3,5}; the
     fractional q-power conjugated away):
 
         (qD + alpha + 5 G_2)(qD + alpha + G_2) theta - (11/15) G_4 theta.
     """
     try:
-        alpha = _THETA_SHIFTS[a]
+        alpha = _THETA_C[a] ** 2 / 10
     except KeyError:
         raise ConfigError("theta ODE is implemented for a in {1, 3} at level 5") from None
     theta = theta_series(a, 5, q_order)

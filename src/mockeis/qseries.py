@@ -181,8 +181,8 @@ class QSeries:
         # lowest terms: a prime's highest power in the lcm divides one
         # denominator exactly, and that numerator is prime to it.
         den = lcm(*(c.denominator for c in cs))
-        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
-        self.den = den
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def _of(cls, nums: Iterable[int], den: int = 1) -> "QSeries":
@@ -194,9 +194,19 @@ class QSeries:
                 nums = tuple(c // g for c in nums)
                 den //= g
         series = object.__new__(cls)
-        series.nums = nums
-        series.den = den
+        object.__setattr__(series, "nums", nums)
+        object.__setattr__(series, "den", den)
         return series
+
+    # A series can be cached and shared, so it is never changed in place.
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSeries is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QSeries is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (QSeries._of, (self.nums, self.den))
 
     # -- constructors ------------------------------------------------
 

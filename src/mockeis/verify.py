@@ -189,7 +189,8 @@ def suite_counts(
     results = []
     for k in ks:
         table = pt.count_table(k, m_top, n_top)
-        series = {m: fn.krank_count_series(k, m, n_top) for m in range(-m_top, m_top + 1)}
+        by_abs = [fn.krank_count_series(k, m, n_top) for m in range(m_top + 1)]
+        series = {m: by_abs[abs(m)] for m in range(-m_top, m_top + 1)}  # it reads only |m|
         name = f"counts: N_{k} enumeration = count series (n<={n_top}, |m|<={m_top})"
         results.append(_count_check(name, "series", table, series))
         if k == 3:

@@ -150,16 +150,6 @@ def two_sinh_half_over_w(max_deg: int) -> QSeries:
     return QSeries(coeffs)
 
 
-def reciprocal_two_sinh_half(max_deg: int, q_order: int) -> WJet:
-    """1/(2 sinh(w/2)) as a simple-pole jet on [-1, max_deg].
-
-    Built by inverting the power-series part of 2 sinh(w/2) = w * S(w)
-    and shifting; equals sum_n B_n(1/2) w^{n-1}/n!.
-    """
-    inv = two_sinh_half_over_w(max_deg + 1).inverse()
-    return rational_jet(inv, q_order).shift(-1)
-
-
 def jet_exp(a: WJet) -> WJet:
     """exp of a jet with certified window contained in degrees >= 1.
 

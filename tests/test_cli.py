@@ -581,6 +581,27 @@ class TestVerifyCommand:
         assert code == 0
         assert "1/1 checks passed" in out
 
+    def test_products_and_inverses_from_cold_caches(self, capsys, monkeypatch):
+        # The count series are built once per |m|, and the Appell jet has no
+        # 1/(2 sinh(w/2)) to invert: 269 Kronecker products, no inverse in pde.
+        from mockeis import qseries
+
+        kernel, inverse = qseries._kronecker_product, QSeries.inverse
+        products, inverses = [], []
+        monkeypatch.setattr(
+            qseries, "_kronecker_product", lambda a, b: products.append(len(a)) or kernel(a, b)
+        )
+        monkeypatch.setattr(QSeries, "inverse", lambda s: inverses.append(s.order) or inverse(s))
+        clear_caches()
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert (code, out.splitlines()[-1]) == (0, "80/80 checks passed")
+        assert len(products) <= 269
+        clear_caches()
+        inverses.clear()
+        assert run_cli(capsys, "verify", "--suite", "pde")[0] == 0
+        assert inverses == []
+        clear_caches()
+
     def test_corrupted_oracle_fails(self, capsys, monkeypatch):
         true_series = mockeis.functions.krank_count_series
 

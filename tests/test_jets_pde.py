@@ -10,6 +10,7 @@ import pytest
 from mockeis.bernoulli import bernoulli_poly
 from mockeis.errors import ConfigError, ConstantTermError, WindowUnderflowError
 from mockeis.functions import eisenstein, theta_deriv, theta_series
+from mockeis.mock import mock_eisenstein_family
 from mockeis.pde import appell5_jet, heat_operator, pde_residual, theta_ode_residual
 from mockeis.qseries import QSeries
 from mockeis.wjets import (
@@ -18,8 +19,8 @@ from mockeis.wjets import (
     exp_cw,
     jet_exp,
     jet_log,
+    member_exp,
     rational_jet,
-    reciprocal_two_sinh_half,
     two_sinh_half_over_w,
 )
 
@@ -238,21 +239,12 @@ class TestBernoulliExpansions:
         )
         assert two_sinh_half_over_w(order) == arg.exp()
 
-    def test_reciprocal_sinh_matches_half_bernoulli(self):
-        # 1/(2 sinh(w/2)) = sum_n B_n(1/2) w^{n-1}/n!
-        jet = reciprocal_two_sinh_half(6, 3)
-        for d in range(-1, 7):
-            n = d + 1
-            expected = bernoulli_poly(n, F(1, 2)) / factorial(n)
-            assert jet.coeff(d) == QSeries.constant(expected, 3)
-
-    def test_shifted_reciprocal_matches_three_half_bernoulli(self):
-        # e^w/(2 sinh(w/2)) = sum_n B_n(3/2) w^{n-1}/n!
-        jet = exp_cw(1, 7, 3) * reciprocal_two_sinh_half(7, 3)
-        for d in range(-1, 7):
-            n = d + 1
-            expected = bernoulli_poly(n, F(3, 2)) / factorial(n)
-            assert jet.coeff(d) == QSeries.constant(expected, 3)
+    def test_sinh_terms_collapse_to_minus_exp_half(self):
+        # (1 - e^w)/(2 sinh(w/2)) = sum_n (B_n(1/2) - B_n(3/2)) w^{n-1}/n! = -e^{w/2}
+        jet = -exp_cw(F(1, 2), 7, 3)
+        for n in range(1, 9):
+            expected = (bernoulli_poly(n, F(1, 2)) - bernoulli_poly(n, F(3, 2))) / factorial(n)
+            assert jet.coeff(n - 1) == QSeries.constant(expected, 3)
 
 
 class TestHeatOperator:
@@ -309,6 +301,43 @@ class TestAppellJet:
         jet = appell5_jet(4, 10)
         expected = -(theta_series(1, 5, 10) + theta_series(3, 5, 10))
         assert jet.coeff(0) == expected
+
+    @pytest.mark.parametrize("max_deg, q_order", [(7, 20), (11, 40)])
+    def test_matches_the_four_term_form(self, max_deg, q_order):
+        # -(1/w) exp(2 sum f_{3,j} w^j/j!) + (1/(2 sinh(w/2))) theta_{1,5}
+        #   - (e^w/(2 sinh(w/2))) theta_{1,5} - e^{3w/2} theta_{3,5}
+        family = mock_eisenstein_family(3, max_deg + 2 - max_deg % 2, q_order)
+        th15, th35 = theta_series(1, 5, q_order), theta_series(3, 5, q_order)
+        inv_sinh = rational_jet(two_sinh_half_over_w(max_deg + 2).inverse(), q_order).shift(-1)
+        expected = (
+            -member_exp(family.member, 2, max_deg + 1, q_order).shift(-1)
+            + inv_sinh.scale(th15)
+            - (exp_cw(1, max_deg + 1, q_order) * inv_sinh).scale(th15)
+            - exp_cw(F(3, 2), max_deg, q_order).scale(th35)
+        )
+        jet = appell5_jet(max_deg, q_order)
+        assert (jet.min_deg, jet.max_deg, jet.q_order) == (-1, max_deg, q_order)
+        assert (expected.min_deg, expected.max_deg) == (-1, max_deg)
+        assert jet.coeffs == expected.coeffs
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(3, 2)])
+    def test_operator_on_a_shifted_series_is_the_theta_operator(self, c):
+        # (H_3 H_1 - (220/3) G_4)(e^{cw} s)
+        #   = 100 e^{cw} [(qD + alpha + 5 G_2)(qD + alpha + G_2) s - (11/15) G_4 s]
+        # with alpha = c^2/10, for a series s that is not a theta series.
+        order = 12
+        rng = random.Random(13)
+        s = QSeries([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(order + 1)])
+        g2, g4 = eisenstein(2, order), eisenstein(4, order)
+        alpha = c * c / 10
+        inner = s.qderiv() + s * alpha + g2 * s
+        theta_op = inner.qderiv() + inner * alpha + (g2 * inner) * 5 - (g4 * s) * F(11, 15)
+        jet = exp_cw(c, 8, order).scale(s)
+        lhs = heat_operator(3, heat_operator(1, jet)) - jet.scale(g4 * F(220, 3))
+        rhs = exp_cw(c, 8, order).scale(theta_op * 100)
+        assert (lhs.min_deg, lhs.max_deg) == (-4, 4)
+        for d in lhs.degrees():
+            assert lhs.coeff(d) == rhs.coeff(d)
 
 
 class TestPDE:

@@ -106,6 +106,34 @@ def test_a_family_served_by_truncation_is_read_only():
     assert fam == mock_eisenstein_family.__wrapped__(3, 8, 10, "logRoute")
 
 
+def cached_series():
+    """(name, cached series, rebuild): a cached partition_series(5) and a family member."""
+    partition_series.cache_clear()
+    mock_eisenstein_family.cache_clear()
+    return [
+        ("partition_series", partition_series(5), lambda: partition_series(5)),
+        ("member", mock_eisenstein_family(3, 4, 5).members[2],
+         lambda: mock_eisenstein_family(3, 4, 5).members[2]),
+    ]
+
+
+@pytest.mark.parametrize("field, value", [("nums", (9,) * 6), ("den", 7)])
+def test_a_cached_series_cannot_be_changed_in_place(field, value):
+    for name, series, rebuild in cached_series():
+        nums, den = series.nums, series.den
+        with pytest.raises(AttributeError):
+            setattr(series, field, value)
+        with pytest.raises(AttributeError):
+            delattr(series, field)
+        again = rebuild()
+        assert again is series, name
+        assert (again.nums, again.den) == (nums, den), name
+    assert partition_series(5) == partition_series.__wrapped__(5)
+    assert mock_eisenstein_family(3, 4, 5) == mock_eisenstein_family.__wrapped__(3, 4, 5)
+    partition_series.cache_clear()
+    mock_eisenstein_family.cache_clear()
+
+
 def test_keyword_and_positional_calls_share_one_entry():
     mock_eisenstein_family.cache_clear()
     mock_eisenstein_family(3, 4, 12)

@@ -1,5 +1,7 @@
 """Series-core tests: exact arithmetic, truncation semantics, ring laws."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 from math import gcd
 
@@ -107,6 +109,16 @@ class TestBasics:
     def test_str(self):
         assert str(QSeries([F(-1, 24), 0, 0, 1, 3])) == "-1/24 + q^3 + 3q^4"
         assert str(QSeries.zero(4)) == "0"
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_a_series_survives_pickle_and_copy(self, clone):
+        for series in (QSeries([F(-1, 24), 0, F(3, 2), 5]), partition_series(6), QSeries.zero(0)):
+            cloned = clone(series)
+            assert type(cloned) is QSeries
+            assert cloned == series
+            assert (cloned.nums, cloned.den) == (series.nums, series.den)
 
 
 class TestInverse:
